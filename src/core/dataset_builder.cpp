@@ -52,14 +52,11 @@ LabeledDataset buildDataset(std::span<const FlowResult> flows,
   }
 
   // Stage 2 (parallel): per-sample feature extraction over a flattened
-  // worklist. One extractor per flow, pre-warmed so the shared per-function
-  // caches are read-only during the concurrent extract() calls.
+  // worklist, one (immutable, so shareable) extractor per flow.
   std::vector<features::FeatureExtractor> extractors;
   extractors.reserve(flows.size());
-  for (const FlowResult& flow : flows) {
+  for (const FlowResult& flow : flows)
     extractors.emplace_back(flow.design, options.caps);
-    extractors.back().prepare();
-  }
 
   struct WorkItem {
     std::size_t flowIdx = 0;

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "ml/serialize.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 #include "support/textio.hpp"
 
@@ -90,22 +91,52 @@ std::vector<Hotspot> CongestionPredictor::findHotspots(
   HCP_CHECK_MSG(trained_, "predictor not trained");
   features::FeatureExtractor extractor(design, caps);
 
+  struct FuOp {
+    std::uint32_t function = 0;
+    ir::OpId op = 0;
+  };
+  std::vector<FuOp> ops;
+  for (std::uint32_t f = 0; f < design.module->numFunctions(); ++f) {
+    const ir::Function& fn = design.module->function(f);
+    for (ir::OpId op = 0; op < fn.numOps(); ++op)
+      if (ir::isFunctionalUnit(fn.op(op).opcode)) ops.push_back({f, op});
+  }
+
+  // Extraction and the three models run per block of ops, blocks in
+  // parallel: every block writes only its own slots of `predicted`, and
+  // each value equals predictOp()'s, so the result is thread-count free.
+  constexpr std::size_t kBlock = ml::Regressor::kPredictBlock;
+  std::vector<OpPrediction> predicted(ops.size());
+  support::parallelFor(0, (ops.size() + kBlock - 1) / kBlock, 1,
+                       [&](std::size_t b) {
+    const std::size_t lo = b * kBlock;
+    const std::size_t n = std::min(ops.size(), lo + kBlock) - lo;
+    std::vector<std::vector<double>> x(n);
+    std::vector<const std::vector<double>*> rows(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      x[k] = extractor.extract(ops[lo + k].function, ops[lo + k].op);
+      rows[k] = &x[k];
+    }
+    std::vector<double> v(n), h(n), a(n);
+    vertical_->predictBatch(rows, v);
+    horizontal_->predictBatch(rows, h);
+    average_->predictBatch(rows, a);
+    for (std::size_t k = 0; k < n; ++k) predicted[lo + k] = {v[k], h[k], a[k]};
+  });
+
+  // Regions accumulate serially in op order, as the per-op loop did.
   struct Acc {
     double sum = 0.0, max = 0.0;
     std::size_t count = 0;
   };
   std::map<std::pair<std::uint32_t, std::int32_t>, Acc> regions;
-
-  for (std::uint32_t f = 0; f < design.module->numFunctions(); ++f) {
-    const ir::Function& fn = design.module->function(f);
-    for (ir::OpId op = 0; op < fn.numOps(); ++op) {
-      if (!ir::isFunctionalUnit(fn.op(op).opcode)) continue;
-      const OpPrediction p = predictOp(extractor, f, op);
-      Acc& a = regions[{f, fn.op(op).sourceLine}];
-      a.sum += p.average;
-      a.max = std::max(a.max, p.average);
-      ++a.count;
-    }
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    const OpPrediction& p = predicted[k];
+    const ir::Function& fn = design.module->function(ops[k].function);
+    Acc& acc = regions[{ops[k].function, fn.op(ops[k].op).sourceLine}];
+    acc.sum += p.average;
+    acc.max = std::max(acc.max, p.average);
+    ++acc.count;
   }
 
   std::vector<Hotspot> hotspots;

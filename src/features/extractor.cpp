@@ -30,18 +30,23 @@ double safeDiv(double a, double b) { return b != 0.0 ? a / b : 0.0; }
 
 FeatureExtractor::FeatureExtractor(const hls::SynthesizedDesign& design,
                                    DeviceCaps caps)
-    : design_(design), caps_(caps),
-      ctx_(design.module->numFunctions()),
-      ctxReady_(design.module->numFunctions(), false) {}
+    : design_(design), caps_(caps) {
+  ctx_.reserve(design.module->numFunctions());
+  for (std::uint32_t f = 0; f < design.module->numFunctions(); ++f)
+    ctx_.push_back(buildCtx(f));
+}
 
 const FeatureExtractor::FunctionCtx& FeatureExtractor::ctx(
     std::uint32_t f) const {
   HCP_CHECK(f < ctx_.size());
-  if (ctxReady_[f]) return ctx_[f];
+  return ctx_[f];
+}
 
+FeatureExtractor::FunctionCtx FeatureExtractor::buildCtx(
+    std::uint32_t f) const {
   const ir::Function& fn = design_.module->function(f);
   const hls::SynthesizedFunction& syn = design_.functions[f];
-  FunctionCtx& c = ctx_[f];
+  FunctionCtx c;
 
   // Per-op resource share.
   c.opRes.assign(fn.numOps(), Resource{});
@@ -78,12 +83,7 @@ const FeatureExtractor::FunctionCtx& FeatureExtractor::ctx(
     c.nodeCstep[n] = minStep == ~0u ? 0 : minStep;
   }
 
-  ctxReady_[f] = true;
   return c;
-}
-
-void FeatureExtractor::prepare() const {
-  for (std::uint32_t f = 0; f < ctx_.size(); ++f) ctx(f);
 }
 
 hls::Resource FeatureExtractor::opResource(std::uint32_t functionIndex,

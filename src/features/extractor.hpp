@@ -22,6 +22,8 @@ struct DeviceCaps {
   double bram = 280.0;
 };
 
+/// Immutable after construction, which builds every per-function context:
+/// one extractor may serve concurrent extract() calls.
 class FeatureExtractor {
  public:
   FeatureExtractor(const hls::SynthesizedDesign& design, DeviceCaps caps);
@@ -30,11 +32,6 @@ class FeatureExtractor {
   /// FeatureRegistry.
   std::vector<double> extract(std::uint32_t functionIndex,
                               ir::OpId op) const;
-
-  /// Materializes every per-function context up front. extract() warms these
-  /// caches lazily, which is not thread-safe; call prepare() once before
-  /// sharing one extractor across concurrent extract() calls.
-  void prepare() const;
 
   /// Per-op resource share (unit + binding muxes split over sharers, plus
   /// bank-access muxes for loads). Exposed for tests.
@@ -47,12 +44,12 @@ class FeatureExtractor {
     std::vector<std::uint32_t> nodeCstep;///< min start step over members
   };
 
+  FunctionCtx buildCtx(std::uint32_t functionIndex) const;
   const FunctionCtx& ctx(std::uint32_t functionIndex) const;
 
   const hls::SynthesizedDesign& design_;
   DeviceCaps caps_;
-  mutable std::vector<FunctionCtx> ctx_;
-  mutable std::vector<bool> ctxReady_;
+  std::vector<FunctionCtx> ctx_;  ///< one per function
 };
 
 }  // namespace hcp::features

@@ -86,6 +86,7 @@ void Gbrt::fitFromSource(const RowSource& source) {
     });
     trees_.push_back(std::move(tree));
   }
+  flatten();
   support::telemetry::count(support::telemetry::Counter::GbrtBoostingRounds,
                             config_.numEstimators);
 
@@ -97,11 +98,53 @@ void Gbrt::fitFromSource(const RowSource& source) {
   trainLoss_ /= static_cast<double>(n);
 }
 
+void Gbrt::flatten() {
+  flat_.clear();
+  roots_.clear();
+  roots_.reserve(trees_.size());
+  for (const RegressionTree& t : trees_) {
+    roots_.push_back(static_cast<std::uint32_t>(flat_.size()));
+    t.appendFlat(flat_, config_.learningRate);
+  }
+}
+
+void Gbrt::checkRow(const std::vector<double>& row) const {
+  HCP_CHECK_MSG(row.size() == numFeatures_,
+                "GBRT row has " << row.size() << " features, model expects "
+                                << numFeatures_);
+}
+
+namespace {
+
+/// Walks one flat tree from its root `i` for row `x`; returns the scaled leaf.
+/// NaN fails `<=` and goes right, as in RegressionTree::predict.
+inline double leafOf(const FlatTreeNode* nodes, std::uint32_t i,
+                     const double* x) {
+  while (nodes[i].feature >= 0) {
+    const FlatTreeNode& n = nodes[i];
+    i = x[n.feature] <= n.value ? i + 1 : n.right;
+  }
+  return nodes[i].value;
+}
+
+}  // namespace
+
 double Gbrt::predict(const std::vector<double>& row) const {
+  checkRow(row);
   double y = baseline_;
-  for (const RegressionTree& t : trees_)
-    y += config_.learningRate * t.predict(row);
+  for (const std::uint32_t root : roots_)
+    y += leafOf(flat_.data(), root, row.data());
   return y;
+}
+
+void Gbrt::predictBatch(std::span<const std::vector<double>* const> rows,
+                        std::span<double> out) const {
+  HCP_CHECK(rows.size() == out.size());
+  for (const std::vector<double>* row : rows) checkRow(*row);
+  std::fill(out.begin(), out.end(), baseline_);
+  for (const std::uint32_t root : roots_)
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      out[r] += leafOf(flat_.data(), root, rows[r]->data());
 }
 
 std::vector<double> Gbrt::featureImportance() const {

@@ -35,7 +35,14 @@ class Gbrt : public Regressor {
   /// in memory for the boosting stages. fit() routes through the same
   /// implementation, so streamed and in-memory models are byte-identical.
   void fitStreaming(const RowSource& source) override;
+  /// predict() and predictBatch() evaluate the flat forest (see flat_) and
+  /// reject a row whose size is not the trained feature count.
   double predict(const std::vector<double>& row) const override;
+  /// Tree-outer over the block: every row walks one tree before the next.
+  /// Per row the sum is baseline + the trees' scaled leaves in tree order,
+  /// exactly as predict() adds them.
+  void predictBatch(std::span<const std::vector<double>* const> rows,
+                    std::span<double> out) const override;
   std::string name() const override { return "GBRT"; }
 
   /// Normalized per-feature importance: fraction of ensemble splits using
@@ -47,6 +54,11 @@ class Gbrt : public Regressor {
   std::vector<double> featureImportanceByGain() const;
 
   std::size_t numTrees() const { return trees_.size(); }
+  /// Fitted state: predict() is baseline() + the sum, in tree order, of
+  /// learningRate() * tree.predict(row) (the tests' reference).
+  double baseline() const { return baseline_; }
+  double learningRate() const { return config_.learningRate; }
+  const std::vector<RegressionTree>& trees() const { return trees_; }
   double trainLoss() const { return trainLoss_; }
 
   /// Text serialization (used by ml/serialize).
@@ -55,11 +67,19 @@ class Gbrt : public Regressor {
 
  private:
   void fitFromSource(const RowSource& source);
+  /// Rebuilds flat_/roots_ from trees_ (after a fit and after read()).
+  void flatten();
+  void checkRow(const std::vector<double>& row) const;
 
   GbrtConfig config_;
   Binner binner_;
   double baseline_ = 0.0;
   std::vector<RegressionTree> trees_;
+  /// The whole forest as one preorder node array (DESIGN.md, "GBRT
+  /// inference layout"); leaves hold learningRate * leaf value. trees_
+  /// stays the serialized and importance source.
+  std::vector<FlatTreeNode> flat_;
+  std::vector<std::uint32_t> roots_;  ///< flat_ index of each tree's root
   std::size_t numFeatures_ = 0;
   double trainLoss_ = 0.0;
 };

@@ -2,7 +2,9 @@
 // (Lasso linear regression, ANN, GBRT).
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -28,12 +30,33 @@ class Regressor {
 
   virtual double predict(const std::vector<double>& row) const = 0;
 
+  /// Predicts *rows[i] into out[i] (the spans have equal length), bit for
+  /// bit what predict() returns per row. The default loops predict(); a
+  /// model with a faster block evaluation overrides it.
+  virtual void predictBatch(std::span<const std::vector<double>* const> rows,
+                            std::span<double> out) const {
+    HCP_CHECK(rows.size() == out.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) out[i] = predict(*rows[i]);
+  }
+
+  /// Rows per predictBatch() call when a caller evaluates many rows.
+  static constexpr std::size_t kPredictBlock = 64;
+
   std::vector<double> predictAll(const Dataset& data) const {
-    // predict() is const and rows are independent; results land by index,
-    // so the output is identical at any thread count.
-    return support::parallelMapIndex(
-        data.size(), [&](std::size_t i) { return predict(data.row(i)); },
-        /*grainSize=*/64);
+    // predictBatch() is const and blocks are independent; results land by
+    // index, so the output is identical at any thread count.
+    std::vector<double> out(data.size());
+    const std::size_t numBlocks =
+        (data.size() + kPredictBlock - 1) / kPredictBlock;
+    support::parallelFor(0, numBlocks, 1, [&](std::size_t b) {
+      const std::size_t lo = b * kPredictBlock;
+      const std::size_t hi = std::min(data.size(), lo + kPredictBlock);
+      std::vector<const std::vector<double>*> rows;
+      rows.reserve(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i) rows.push_back(&data.row(i));
+      predictBatch(rows, std::span(out).subspan(lo, hi - lo));
+    });
+    return out;
   }
 
   virtual std::string name() const = 0;

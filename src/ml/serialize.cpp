@@ -196,10 +196,11 @@ void RegressionTree::write(std::ostream& os) const {
   writeVec(os, splitGains_);
 }
 
-void RegressionTree::read(std::istream& is) {
+void RegressionTree::read(std::istream& is, std::size_t numFeatures) {
   expect(is, "tree");
   std::size_t n = 0;
   HCP_CHECK(static_cast<bool>(is >> n));
+  HCP_CHECK_MSG(n > 0, "model file: tree has no nodes");
   nodes_.assign(n, Node{});
   for (Node& node : nodes_) {
     int bin = 0;
@@ -208,12 +209,46 @@ void RegressionTree::read(std::istream& is) {
                                 node.value));
     node.bin = static_cast<std::uint8_t>(bin);
   }
+  // A corrupt link could make evaluation loop forever (a self or backward
+  // edge) or read past the node array, and a corrupt feature past the row.
+  // Forward-only links with exactly one parent per non-root node make the
+  // nodes one tree rooted at node 0, so every walk ends at a leaf.
+  std::vector<std::size_t> parents(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node& node = nodes_[i];
+    if (node.feature == -1) continue;
+    HCP_CHECK_MSG(node.feature >= 0 &&
+                      static_cast<std::size_t>(node.feature) < numFeatures,
+                  "model file: tree node " << i << " splits on feature "
+                                           << node.feature << " of "
+                                           << numFeatures);
+    for (const std::int32_t child : {node.left, node.right}) {
+      HCP_CHECK_MSG(child > static_cast<std::int64_t>(i) &&
+                        static_cast<std::size_t>(child) < n,
+                    "model file: tree node " << i << " links to node "
+                                             << child << " (tree has " << n
+                                             << " nodes; links must point "
+                                                "forward)");
+      ++parents[static_cast<std::size_t>(child)];
+    }
+  }
+  for (std::size_t i = 1; i < n; ++i)
+    HCP_CHECK_MSG(parents[i] == 1, "model file: tree node "
+                                       << i << " has " << parents[i]
+                                       << " parents, not 1");
   expect(is, "splits");
   std::size_t m = 0;
   HCP_CHECK(static_cast<bool>(is >> m));
+  HCP_CHECK_MSG(m == numFeatures, "model file: tree split counts cover "
+                                      << m << " features, not "
+                                      << numFeatures);
   splitCounts_.assign(m, 0);
   for (std::uint32_t& c : splitCounts_) HCP_CHECK(static_cast<bool>(is >> c));
   splitGains_ = readVec(is);
+  HCP_CHECK_MSG(splitGains_.size() == numFeatures,
+                "model file: tree split gains cover "
+                    << splitGains_.size() << " features, not "
+                    << numFeatures);
 }
 
 void Gbrt::write(std::ostream& os) const {
@@ -239,7 +274,8 @@ void Gbrt::read(std::istream& is) {
   std::size_t n = 0;
   HCP_CHECK(static_cast<bool>(is >> n));
   trees_.assign(n, RegressionTree{});
-  for (RegressionTree& t : trees_) t.read(is);
+  for (RegressionTree& t : trees_) t.read(is, numFeatures_);
+  flatten();
 }
 
 }  // namespace hcp::ml

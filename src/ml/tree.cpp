@@ -292,6 +292,34 @@ double RegressionTree::predictBinned(
   return nodes_[cur].value;
 }
 
+void RegressionTree::appendFlat(std::vector<FlatTreeNode>& out,
+                                double leafScale) const {
+  HCP_CHECK(!nodes_.empty());
+  // Depth-first with the right child pushed first, so each left child is
+  // emitted right after its parent; a right child patches its parent's
+  // link when it is emitted. Trees fit here are already in this order.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  struct Pending {
+    std::int32_t node;
+    std::size_t parent;  ///< flat slot whose `right` points here, or kNone
+  };
+  std::vector<Pending> stack{{0, kNone}};
+  while (!stack.empty()) {
+    const Pending p = stack.back();
+    stack.pop_back();
+    if (p.parent != kNone)
+      out[p.parent].right = static_cast<std::uint32_t>(out.size());
+    const Node& n = nodes_[static_cast<std::size_t>(p.node)];
+    if (n.feature >= 0) {
+      stack.push_back({n.right, out.size()});
+      stack.push_back({n.left, kNone});
+      out.push_back({n.threshold, n.feature, 0});
+    } else {
+      out.push_back({leafScale * n.value, -1, 0});
+    }
+  }
+}
+
 void RegressionTree::fit(const Dataset& data, const TreeConfig& config,
                          std::uint32_t numBins) {
   ownBinner_.fit(data, numBins);

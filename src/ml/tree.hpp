@@ -59,6 +59,16 @@ class Binner {
   std::vector<std::vector<double>> edges_;
 };
 
+/// One node of a flattened tree (see Gbrt): 16 bytes, preorder layout. A
+/// split sends `x[feature] <= value` to the next node and everything else,
+/// NaN included, to `right`; a leaf holds its (scaled) output.
+struct FlatTreeNode {
+  double value = 0.0;       ///< split threshold, or the leaf output
+  std::int32_t feature = -1;  ///< -1 on a leaf
+  std::uint32_t right = 0;  ///< index of the right child in the flat array
+};
+static_assert(sizeof(FlatTreeNode) == 16);
+
 struct TreeConfig {
   int maxDepth = 4;
   std::size_t minSamplesLeaf = 8;
@@ -90,9 +100,16 @@ class RegressionTree {
   }
   const std::vector<double>& splitGains() const { return splitGains_; }
 
-  /// Text serialization (used by ml/serialize).
+  /// Appends the tree to `out` in preorder (left child right after its
+  /// parent), each leaf output multiplied by `leafScale` and each right
+  /// child index offset by the tree's position in `out`.
+  void appendFlat(std::vector<FlatTreeNode>& out, double leafScale) const;
+
+  /// Text serialization (used by ml/serialize). read() rejects a tree that
+  /// is not one: a child index that does not point forward inside the tree,
+  /// a node with no parent or two, or a split feature >= `numFeatures`.
   void write(std::ostream& os) const;
-  void read(std::istream& is);
+  void read(std::istream& is, std::size_t numFeatures);
 
  private:
   struct Node {

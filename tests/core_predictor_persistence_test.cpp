@@ -187,6 +187,41 @@ TEST(PredictorPersistenceFailures, TrailingGarbageThrowsWithPath) {
   }
 }
 
+TEST(PredictorPersistenceFailures, CorruptGbrtTreeThrowsWithPath) {
+  // A root whose left child is itself used to load fine and then spin
+  // forever on the first predict; it must fail at load, naming the file.
+  CongestionPredictor predictor(smallOptions(ModelKind::Gbrt));
+  predictor.train(makeDataset());
+  TempFile file("predictor_tree_loop.hcp");
+  predictor.save(file.path());
+  std::string bytes;
+  {
+    std::ifstream is(file.path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  // The first tree's root line: "feature bin threshold 1 right value".
+  const std::size_t root = bytes.find('\n', bytes.find("\ntree ") + 1) + 1;
+  const std::size_t left = [&] {
+    std::size_t at = root;
+    for (int field = 0; field < 3; ++field) at = bytes.find(' ', at) + 1;
+    return at;
+  }();
+  ASSERT_EQ(bytes.substr(left, 2), "1 ");
+  bytes[left] = '0';
+  {
+    std::ofstream os(file.path(), std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+  try {
+    CongestionPredictor::load(file.path());
+    FAIL() << "predictor with a looping tree must not load";
+  } catch (const hcp::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("links to node 0"), std::string::npos) << what;
+    EXPECT_NE(what.find(file.path()), std::string::npos) << what;
+  }
+}
+
 TEST(PredictorPersistenceFailures, UnknownModelTagThrows) {
   TempFile file("model_unknown_tag.hcp");
   {

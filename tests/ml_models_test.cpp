@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "ml/gbrt.hpp"
 #include "ml/linear.hpp"
@@ -222,6 +224,122 @@ TEST(GbrtTest, DeterministicForSeed) {
   a.fit(data);
   b.fit(data);
   EXPECT_DOUBLE_EQ(a.predict(data.row(1)), b.predict(data.row(1)));
+}
+
+// --- flat GBRT evaluator vs the per-tree reference ---------------------------
+
+/// baseline + sum of learningRate * tree.predict(row), in tree order: the
+/// per-tree walk the flat forest must reproduce bit for bit.
+double referencePredict(const Gbrt& model, const std::vector<double>& row) {
+  double y = model.baseline();
+  for (const RegressionTree& t : model.trees())
+    y += model.learningRate() * t.predict(row);
+  return y;
+}
+
+/// Every training row, plus rows probing the split edges — each split
+/// value exactly and one ulp either side — and rows holding NaN or +-inf
+/// in each feature, and one all-NaN row.
+std::vector<std::vector<double>> probeRows(const Gbrt& model,
+                                           const Dataset& data) {
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < data.size(); ++i) rows.push_back(data.row(i));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const RegressionTree& t : model.trees()) {
+    std::vector<FlatTreeNode> nodes;
+    t.appendFlat(nodes, 1.0);
+    for (const FlatTreeNode& n : nodes) {
+      if (n.feature < 0) continue;  // leaf
+      for (const double v : {n.value, std::nextafter(n.value, inf),
+                             std::nextafter(n.value, -inf)}) {
+        std::vector<double> row = data.row(rows.size() % data.size());
+        row[static_cast<std::size_t>(n.feature)] = v;
+        rows.push_back(std::move(row));
+      }
+    }
+  }
+  for (std::size_t f = 0; f < data.numFeatures(); ++f) {
+    for (const double v : {nan, inf, -inf}) {
+      std::vector<double> row = data.row(f % data.size());
+      row[f] = v;
+      rows.push_back(std::move(row));
+    }
+  }
+  rows.emplace_back(data.numFeatures(), nan);
+  return rows;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(GbrtFlat, PredictAndBatchEqualPerTreeReferenceBitForBit) {
+  const auto data = nonlinearData(500, 6, 21);
+  Gbrt model({.numEstimators = 60, .learningRate = 0.07});
+  model.fit(data);
+  const auto rows = probeRows(model, data);
+  ASSERT_GT(rows.size(), data.size() + 3 * 60);
+
+  std::vector<double> expected;
+  for (const auto& row : rows) expected.push_back(referencePredict(model, row));
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    ASSERT_EQ(bits(model.predict(rows[i])), bits(expected[i])) << "row " << i;
+
+  // Blocked path at several block sizes (including a ragged tail).
+  std::vector<const std::vector<double>*> ptrs;
+  for (const auto& row : rows) ptrs.push_back(&row);
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64}, rows.size()}) {
+    std::vector<double> out(rows.size());
+    for (std::size_t lo = 0; lo < rows.size(); lo += block) {
+      const std::size_t n = std::min(block, rows.size() - lo);
+      model.predictBatch(std::span(ptrs).subspan(lo, n),
+                         std::span(out).subspan(lo, n));
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      ASSERT_EQ(bits(out[i]), bits(expected[i]))
+          << "row " << i << " block " << block;
+  }
+
+  // predictAll routes through predictBatch in parallel blocks.
+  Dataset probe(data.numFeatures());
+  for (const auto& row : rows) probe.add(row, 0.0);
+  const auto all = model.predictAll(probe);
+  ASSERT_EQ(all.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    ASSERT_EQ(bits(all[i]), bits(expected[i])) << "row " << i;
+}
+
+TEST(GbrtFlat, SplitValueGoesLeftAndNanGoesRight) {
+  // One feature, a step at 0: the single split's threshold is an exact
+  // training value, so x == threshold must take the left (<=) branch.
+  Dataset data(1);
+  for (int i = -20; i < 20; ++i) data.add({double(i)}, i < 0 ? -1.0 : 1.0);
+  Gbrt model({.numEstimators = 1, .learningRate = 1.0, .maxDepth = 1,
+              .minSamplesLeaf = 1, .subsample = 1.0, .featureFraction = 1.0});
+  model.fit(data);
+  std::vector<FlatTreeNode> nodes;
+  model.trees().front().appendFlat(nodes, 1.0);
+  ASSERT_EQ(nodes.size(), 3u);
+  const double t = nodes[0].value;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double left = model.predict({-100.0});
+  const double right = model.predict({100.0});
+  ASSERT_NE(left, right);
+  EXPECT_EQ(model.predict({t}), left);
+  EXPECT_EQ(model.predict({std::nextafter(t, 1e9)}), right);
+  EXPECT_EQ(model.predict({nan}), right);
+}
+
+TEST(GbrtFlat, RejectsRowOfTheWrongSize) {
+  const auto data = nonlinearData(200, 5, 22);
+  Gbrt model({.numEstimators = 5});
+  model.fit(data);
+  EXPECT_THROW(model.predict(std::vector<double>(4, 0.0)), hcp::Error);
+  EXPECT_THROW(model.predict(std::vector<double>(6, 0.0)), hcp::Error);
+  const std::vector<double> good(5, 0.0), bad(6, 0.0);
+  const std::vector<const std::vector<double>*> rows{&good, &bad};
+  std::vector<double> out(2);
+  EXPECT_THROW(model.predictBatch(rows, out), hcp::Error);
 }
 
 /// Property sweep: all three models produce finite predictions across

@@ -153,6 +153,110 @@ TEST(Serialize, FileRejectsConcatenatedModels) {
   std::remove(path.c_str());
 }
 
+// --- corrupt GBRT trees ------------------------------------------------------
+//
+// A saved tree is one "feature bin threshold left right value" line per
+// node. Links that loop, point back or leave the tree, and features past
+// the row, must fail at load — before any predict can spin or read out of
+// bounds.
+
+/// A saved GBRT model, split into lines, with its first tree located.
+struct SavedGbrt {
+  std::vector<std::string> lines;
+  std::size_t root = 0;      ///< line of the first tree's root node
+  std::size_t numNodes = 0;  ///< nodes in the first tree
+
+  /// The model text with field `field` of first-tree node `node` replaced.
+  std::string with(std::size_t node, std::size_t field,
+                   const std::string& value) const {
+    std::istringstream is(lines[root + node]);
+    std::vector<std::string> fields(6);
+    for (std::string& f : fields) is >> f;
+    fields[field] = value;
+    std::string text;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (i != root + node) {
+        text += lines[i] + '\n';
+        continue;
+      }
+      for (const std::string& f : fields) text += f + ' ';
+      text += '\n';
+    }
+    return text;
+  }
+
+  /// Index of the first split node after the root.
+  std::size_t innerSplit() const {
+    for (std::size_t k = 1; k < numNodes; ++k)
+      if (lines[root + k].rfind("-1 ", 0) != 0) return k;
+    ADD_FAILURE() << "first tree has no inner split";
+    return 0;
+  }
+};
+
+SavedGbrt savedGbrt() {
+  Gbrt model({.numEstimators = 8});
+  model.fit(makeData(300, 9));
+  std::stringstream buffer;
+  saveModel(model, buffer);
+  SavedGbrt saved;
+  for (std::string line; std::getline(buffer, line);)
+    saved.lines.push_back(line);
+  for (std::size_t i = 0; i < saved.lines.size(); ++i) {
+    if (saved.lines[i].rfind("tree ", 0) == 0) {
+      saved.root = i + 1;
+      saved.numNodes = std::stoul(saved.lines[i].substr(5));
+      break;
+    }
+  }
+  return saved;
+}
+
+enum Field { kFeature = 0, kLeft = 3, kRight = 4 };
+
+void expectRejected(const std::string& text, const std::string& needle) {
+  std::stringstream is(text);
+  try {
+    loadModel(is);
+    FAIL() << "corrupt tree must not load";
+  } catch (const hcp::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Serialize, GbrtRewrittenValidTreeLoads) {
+  // Control for the cases below: rewriting a node line with the value it
+  // already holds (a root's left child is node 1) still loads.
+  const SavedGbrt saved = savedGbrt();
+  ASSERT_GT(saved.numNodes, 3u);
+  std::stringstream is(saved.with(0, kLeft, "1"));
+  EXPECT_NO_THROW(loadModel(is));
+}
+
+TEST(Serialize, GbrtRejectsTreeSelfLoop) {
+  const SavedGbrt saved = savedGbrt();
+  expectRejected(saved.with(0, kLeft, "0"), "links to node 0");
+}
+
+TEST(Serialize, GbrtRejectsTreeBackwardEdge) {
+  const SavedGbrt saved = savedGbrt();
+  const std::size_t k = saved.innerSplit();
+  expectRejected(saved.with(k, kRight, std::to_string(k - 1)),
+                 "links to node " + std::to_string(k - 1));
+}
+
+TEST(Serialize, GbrtRejectsTreeChildOutOfRange) {
+  const SavedGbrt saved = savedGbrt();
+  expectRejected(saved.with(0, kRight, std::to_string(saved.numNodes)),
+                 "links to node " + std::to_string(saved.numNodes));
+}
+
+TEST(Serialize, GbrtRejectsTreeFeatureOutOfRange) {
+  const SavedGbrt saved = savedGbrt();
+  expectRejected(saved.with(0, kFeature, "99999"), "feature 99999 of 6");
+}
+
 // --- save failure paths -----------------------------------------------------
 //
 // A model save is a user-requested artifact: unlike the flow cache it must

@@ -323,25 +323,69 @@ class ServeDeterminism : public ::testing::Test {
     std::vector<apps::AppDesign> designs;
     designs.push_back(apps::makeDesign("spam_filter"));
     const auto flows = core::runFlows(designs, device, cfg);
-    const auto dataset = core::buildDataset(flows, {});
+    dataset_ = new core::LabeledDataset(core::buildDataset(flows, {}));
     core::PredictorOptions opts;
     opts.kind = core::ModelKind::Linear;
     core::CongestionPredictor predictor(opts);
-    predictor.train(dataset);
+    predictor.train(*dataset_);
     predictor.save(modelPath_);
   }
   static void TearDownTestSuite() {
     fs::remove(modelPath_);
     delete cacheDir_;
     cacheDir_ = nullptr;
+    delete dataset_;
+    dataset_ = nullptr;
   }
 
   static TempDir* cacheDir_;
   static std::string modelPath_;
+  static core::LabeledDataset* dataset_;
 };
 
 TempDir* ServeDeterminism::cacheDir_ = nullptr;
 std::string ServeDeterminism::modelPath_;
+core::LabeledDataset* ServeDeterminism::dataset_ = nullptr;
+
+TEST_F(ServeDeterminism, GbrtPredictStreamIsByteIdenticalAcrossThreadCounts) {
+  // One predict per window, over every bundled design with directives on
+  // and off. A lone request runs findHotspots outside any outer batch, so
+  // its op blocks are extracted and GBRT-evaluated on the pool — a path a
+  // mixed window (findHotspots inline inside the batch) never reaches.
+  core::PredictorOptions opts;
+  opts.gbrt.numEstimators = 60;
+  core::CongestionPredictor predictor(opts);
+  predictor.train(*dataset_);
+  const std::string gbrtPath = modelPath_ + ".gbrt";
+  predictor.save(gbrtPath);
+
+  std::string stream;
+  for (const std::string& design : apps::designNames()) {
+    for (const bool directives : {true, false}) {
+      const std::string flag = directives ? "true" : "false";
+      stream += "{\"id\":\"" + design + "/" + flag +
+                "\",\"op\":\"predict\",\"design\":\"" + design +
+                "\",\"directives\":" + flag + ",\"top_k\":10}\n\n";
+    }
+  }
+
+  ServerConfig config;
+  config.modelPath = gbrtPath;
+  std::string reference;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    support::ScopedThreadLimit limit(threads);
+    Server server(config);
+    const std::string out = serveAll(server, stream);
+    if (reference.empty()) reference = out;
+    EXPECT_EQ(out, reference) << "at " << threads << " threads";
+    EXPECT_EQ(server.stats().errors, 0u) << out;
+    // One batch per request: no request ran nested in another's task.
+    EXPECT_EQ(server.stats().batches, 2 * apps::designNames().size());
+  }
+  EXPECT_EQ(lines(reference).size(), 2 * apps::designNames().size());
+  fs::remove(gbrtPath);
+}
 
 TEST_F(ServeDeterminism, MixedWindowIsByteIdenticalAcrossThreadCounts) {
   fc::ScopedCacheDir cache(cacheDir_->dir());

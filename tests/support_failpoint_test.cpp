@@ -11,6 +11,7 @@
 //      naming the path and leaves neither a partial file nor a temp file,
 //      and a failed overwrite preserves the previous file intact.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -223,7 +224,9 @@ class CheckedWriterTest : public FailpointTest {
  protected:
   void SetUp() override {
     FailpointTest::SetUp();
-    dir_ = std::string(::testing::TempDir()) + "checked_writer/";
+    // Per process: ctest -j runs each test in its own process at once.
+    dir_ = std::string(::testing::TempDir()) + "checked_writer_" +
+           std::to_string(::getpid()) + "/";
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
