@@ -25,8 +25,7 @@ std::optional<FlowResult> tryCachedFlow(const fc::FlowCache& cache,
   std::optional<std::string> payload = cache.load(key);
   if (!payload) return std::nullopt;
   try {
-    std::istringstream is(*payload);
-    FlowResult result = readFlowResult(is);
+    FlowResult result = readFlowResult(*payload);
     support::telemetry::count(support::telemetry::Counter::FlowCacheHit);
     return result;
   } catch (const Error& e) {

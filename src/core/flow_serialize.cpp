@@ -7,6 +7,8 @@
 #include "ir/serialize.hpp"
 #include "rtl/serialize.hpp"
 #include "support/flowcache.hpp"
+#include "support/strings.hpp"
+#include "support/telemetry.hpp"
 #include "support/textio.hpp"
 #include "trace/serialize.hpp"
 
@@ -30,31 +32,36 @@ void writeFlowResult(std::ostream& os, const FlowResult& result) {
   os << "end\n";
 }
 
-FlowResult readFlowResult(std::istream& is) {
-  txt::expect(is, "hcp-flowresult");
-  const auto version = txt::read<std::uint32_t>(is, "flow-result version");
+FlowResult readFlowResult(std::string_view text) {
+  txt::Reader in(text);
+  in.expect("hcp-flowresult");
+  const auto version = in.read<std::uint32_t>("flow-result version");
   HCP_CHECK_MSG(version == support::flowcache::kSchemaVersion,
                 "flow-result schema " << version << ", expected "
                                       << support::flowcache::kSchemaVersion);
   FlowResult result;
-  txt::expect(is, "name");
-  result.name = txt::readStr(is, "flow-result name");
-  result.design = hls::readDesign(is);
-  result.rtl = rtl::readGeneratedRtl(is);
-  result.impl = fpga::readImplementation(is);
-  result.traced = trace::readBackTrace(is);
-  txt::expect(is, "headline");
-  result.wnsNs = txt::read<double>(is, "headline wnsNs");
-  result.maxFrequencyMhz = txt::read<double>(is, "headline maxFrequencyMhz");
-  result.latencyCycles =
-      txt::read<std::uint64_t>(is, "headline latencyCycles");
-  result.maxVCongestion = txt::read<double>(is, "headline maxVCongestion");
-  result.maxHCongestion = txt::read<double>(is, "headline maxHCongestion");
-  result.congestedTiles =
-      txt::read<std::size_t>(is, "headline congestedTiles");
-  txt::expect(is, "end");
-  txt::expectEnd(is, "flow result");
+  in.expect("name");
+  result.name = in.readStr("flow-result name");
+  result.design = hls::readDesign(in);
+  result.rtl = rtl::readGeneratedRtl(in);
+  result.impl = fpga::readImplementation(in);
+  result.traced = trace::readBackTrace(in);
+  in.expect("headline");
+  result.wnsNs = in.read<double>("headline wnsNs");
+  result.maxFrequencyMhz = in.read<double>("headline maxFrequencyMhz");
+  result.latencyCycles = in.read<std::uint64_t>("headline latencyCycles");
+  result.maxVCongestion = in.read<double>("headline maxVCongestion");
+  result.maxHCongestion = in.read<double>("headline maxHCongestion");
+  result.congestedTiles = in.read<std::size_t>("headline congestedTiles");
+  in.expect("end");
+  in.expectEnd("flow result");
+  support::telemetry::count(support::telemetry::Counter::FlowBytesParsed,
+                            text.size());
   return result;
+}
+
+FlowResult readFlowResult(std::istream& is) {
+  return readFlowResult(readAll(is));
 }
 
 std::string flowCacheKey(const apps::AppDesign& app,

@@ -17,6 +17,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "core/flow.hpp"
 
@@ -24,8 +25,12 @@ namespace hcp::core {
 
 void writeFlowResult(std::ostream& os, const FlowResult& result);
 
-/// Reads what writeFlowResult wrote and requires the stream to end there
-/// (trailing garbage is malformed input). Throws hcp::Error otherwise.
+/// Parses one document written by writeFlowResult; `text` must hold exactly
+/// that document (trailing garbage is malformed input). Throws hcp::Error
+/// otherwise. Adds text.size() to the flow_bytes_parsed counter on success.
+FlowResult readFlowResult(std::string_view text);
+
+/// Reads the rest of `is` into memory and parses it as above.
 FlowResult readFlowResult(std::istream& is);
 
 /// 16-char hex digest of all flow inputs (see file comment). Stable across

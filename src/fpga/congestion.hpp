@@ -14,6 +14,10 @@
 
 #include "fpga/device.hpp"
 
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
+
 namespace hcp::fpga {
 
 class CongestionMap {
@@ -112,7 +116,7 @@ class CongestionMap {
   /// Text serialization (fpga/serialize.hpp; flow-cache format). Defined in
   /// fpga/serialize.cpp.
   void write(std::ostream& os) const;
-  static CongestionMap read(std::istream& is);
+  static CongestionMap read(support::txt::Reader& in);
 
  private:
   std::size_t idx(std::uint32_t x, std::uint32_t y) const {

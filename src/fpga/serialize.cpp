@@ -23,22 +23,25 @@ void CongestionMap::write(std::ostream& os) const {
   os << '\n';
 }
 
-CongestionMap CongestionMap::read(std::istream& is) {
-  txt::expect(is, "congestion");
-  const auto width = txt::read<std::uint32_t>(is, "congestion width");
-  const auto height = txt::read<std::uint32_t>(is, "congestion height");
-  const auto vCap = txt::read<double>(is, "congestion vCap");
-  const auto hCap = txt::read<double>(is, "congestion hCap");
-  CongestionMap map(width, height, vCap, hCap);
-  const std::size_t tiles = static_cast<std::size_t>(width) * height;
-  txt::expect(is, "vdemand");
-  map.vDemand_ = txt::readVec<double>(is, "congestion vDemand");
-  txt::expect(is, "hdemand");
-  map.hDemand_ = txt::readVec<double>(is, "congestion hDemand");
-  txt::expect(is, "vcaptile");
-  map.vCapTile_ = txt::readVec<double>(is, "congestion vCapTile");
-  txt::expect(is, "hcaptile");
-  map.hCapTile_ = txt::readVec<double>(is, "congestion hCapTile");
+CongestionMap CongestionMap::read(txt::Reader& in) {
+  in.expect("congestion");
+  // Fields are assigned directly rather than through the sizing
+  // constructor: a corrupt width or height is caught by the vector-size
+  // check below, before anything is allocated for it.
+  CongestionMap map;
+  map.width_ = in.read<std::uint32_t>("congestion width");
+  map.height_ = in.read<std::uint32_t>("congestion height");
+  map.vCap_ = in.read<double>("congestion vCap");
+  map.hCap_ = in.read<double>("congestion hCap");
+  const std::size_t tiles = static_cast<std::size_t>(map.width_) * map.height_;
+  in.expect("vdemand");
+  map.vDemand_ = in.readVec<double>("congestion vDemand");
+  in.expect("hdemand");
+  map.hDemand_ = in.readVec<double>("congestion hDemand");
+  in.expect("vcaptile");
+  map.vCapTile_ = in.readVec<double>("congestion vCapTile");
+  in.expect("hcaptile");
+  map.hCapTile_ = in.readVec<double>("congestion hCapTile");
   HCP_CHECK_MSG(map.vDemand_.size() == tiles &&
                     map.hDemand_.size() == tiles &&
                     (map.vCapTile_.empty() || map.vCapTile_.size() == tiles) &&
@@ -94,92 +97,88 @@ void writeImplementation(std::ostream& os, const Implementation& impl) {
      << impl.timing.criticalNet << '\n';
 }
 
-Implementation readImplementation(std::istream& is) {
-  txt::expect(is, "impl");
+Implementation readImplementation(txt::Reader& in) {
+  in.expect("impl");
   Implementation impl;
-  txt::expect(is, "clusters");
-  const auto numClusters = txt::read<std::size_t>(is, "cluster count");
+  in.expect("clusters");
+  const auto numClusters = in.readCount("cluster count");
   impl.packing.clusters.reserve(numClusters);
   for (std::size_t i = 0; i < numClusters; ++i) {
     Cluster c;
-    const auto site = txt::read<unsigned>(is, "cluster site");
+    const auto site = in.read<unsigned>("cluster site");
     HCP_CHECK_MSG(site <= static_cast<unsigned>(TileType::Io),
                   "cluster site out of range: " << site);
     c.site = static_cast<TileType>(site);
-    c.cells = txt::readVec<rtl::CellId>(is, "cluster cells");
-    c.lut = txt::read<double>(is, "cluster lut");
-    c.ff = txt::read<double>(is, "cluster ff");
-    c.dsp = txt::read<double>(is, "cluster dsp");
-    c.bram = txt::read<double>(is, "cluster bram");
-    c.part = txt::read<std::uint32_t>(is, "cluster part");
+    c.cells = in.readVec<rtl::CellId>("cluster cells");
+    c.lut = in.read<double>("cluster lut");
+    c.ff = in.read<double>("cluster ff");
+    c.dsp = in.read<double>("cluster dsp");
+    c.bram = in.read<double>("cluster bram");
+    c.part = in.read<std::uint32_t>("cluster part");
     impl.packing.clusters.push_back(std::move(c));
   }
-  txt::expect(is, "clusternets");
-  const auto numNets = txt::read<std::size_t>(is, "cluster net count");
+  in.expect("clusternets");
+  const auto numNets = in.readCount("cluster net count");
   impl.packing.nets.reserve(numNets);
   for (std::size_t i = 0; i < numNets; ++i) {
     ClusterNet n;
-    n.source = txt::read<rtl::NetId>(is, "cluster net source");
-    n.width = txt::read<std::uint16_t>(is, "cluster net width");
-    n.driver = txt::read<ClusterId>(is, "cluster net driver");
-    n.sinks = txt::readVec<ClusterId>(is, "cluster net sinks");
+    n.source = in.read<rtl::NetId>("cluster net source");
+    n.width = in.read<std::uint16_t>("cluster net width");
+    n.driver = in.read<ClusterId>("cluster net driver");
+    n.sinks = in.readVec<ClusterId>("cluster net sinks");
     impl.packing.nets.push_back(std::move(n));
   }
-  txt::expect(is, "clustersofcell");
-  const auto numCells = txt::read<std::size_t>(is, "clustersOfCell count");
+  in.expect("clustersofcell");
+  const auto numCells = in.readCount("clustersOfCell count");
   impl.packing.clustersOfCell.reserve(numCells);
   for (std::size_t i = 0; i < numCells; ++i)
     impl.packing.clustersOfCell.push_back(
-        txt::readVec<ClusterId>(is, "clustersOfCell"));
-  txt::expect(is, "placement");
-  const auto numPlaced = txt::read<std::size_t>(is, "placement count");
+        in.readVec<ClusterId>("clustersOfCell"));
+  in.expect("placement");
+  const auto numPlaced = in.readCount("placement count");
   HCP_CHECK_MSG(numPlaced == numClusters,
                 "placement covers " << numPlaced << " clusters, packing has "
                                     << numClusters);
   impl.placement.tileOfCluster.reserve(numPlaced);
   for (std::size_t i = 0; i < numPlaced; ++i) {
     TileXY t;
-    t.x = txt::read<std::uint32_t>(is, "placement x");
-    t.y = txt::read<std::uint32_t>(is, "placement y");
+    t.x = in.read<std::uint32_t>("placement x");
+    t.y = in.read<std::uint32_t>("placement y");
     impl.placement.tileOfCluster.push_back(t);
   }
-  txt::expect(is, "placestats");
-  impl.placement.cost = txt::read<double>(is, "placement cost");
+  in.expect("placestats");
+  impl.placement.cost = in.read<double>("placement cost");
   impl.placement.movesAccepted =
-      txt::read<std::uint64_t>(is, "placement movesAccepted");
-  impl.placement.movesTried =
-      txt::read<std::uint64_t>(is, "placement movesTried");
-  impl.routing.map = CongestionMap::read(is);
-  txt::expect(is, "routes");
-  const auto numRoutes = txt::read<std::size_t>(is, "route count");
+      in.read<std::uint64_t>("placement movesAccepted");
+  impl.placement.movesTried = in.read<std::uint64_t>("placement movesTried");
+  impl.routing.map = CongestionMap::read(in);
+  in.expect("routes");
+  const auto numRoutes = in.readCount("route count");
   impl.routing.routes.reserve(numRoutes);
   for (std::size_t i = 0; i < numRoutes; ++i) {
-    const auto numSteps = txt::read<std::size_t>(is, "route step count");
+    const auto numSteps = in.readCount("route step count");
     std::vector<RouteStep> route;
     route.reserve(numSteps);
     for (std::size_t s = 0; s < numSteps; ++s) {
       RouteStep step;
-      step.x = txt::read<std::uint32_t>(is, "route step x");
-      step.y = txt::read<std::uint32_t>(is, "route step y");
-      step.vertical = txt::readBool(is, "route step vertical");
+      step.x = in.read<std::uint32_t>("route step x");
+      step.y = in.read<std::uint32_t>("route step y");
+      step.vertical = in.readBool("route step vertical");
       route.push_back(step);
     }
     impl.routing.routes.push_back(std::move(route));
   }
-  txt::expect(is, "routestats");
-  impl.routing.totalWirelength =
-      txt::read<double>(is, "routing totalWirelength");
-  impl.routing.overflowTiles =
-      txt::read<std::size_t>(is, "routing overflowTiles");
-  impl.routing.iterationsRun = txt::read<int>(is, "routing iterationsRun");
-  txt::expect(is, "timing");
-  impl.timing.criticalPathNs = txt::read<double>(is, "timing criticalPathNs");
-  impl.timing.wnsNs = txt::read<double>(is, "timing wnsNs");
-  impl.timing.maxFrequencyMhz =
-      txt::read<double>(is, "timing maxFrequencyMhz");
+  in.expect("routestats");
+  impl.routing.totalWirelength = in.read<double>("routing totalWirelength");
+  impl.routing.overflowTiles = in.read<std::size_t>("routing overflowTiles");
+  impl.routing.iterationsRun = in.read<int>("routing iterationsRun");
+  in.expect("timing");
+  impl.timing.criticalPathNs = in.read<double>("timing criticalPathNs");
+  impl.timing.wnsNs = in.read<double>("timing wnsNs");
+  impl.timing.maxFrequencyMhz = in.read<double>("timing maxFrequencyMhz");
   impl.timing.combinationalCycleCells =
-      txt::read<std::size_t>(is, "timing combinationalCycleCells");
-  impl.timing.criticalNet = txt::read<rtl::NetId>(is, "timing criticalNet");
+      in.read<std::size_t>("timing combinationalCycleCells");
+  impl.timing.criticalNet = in.read<rtl::NetId>("timing criticalNet");
   return impl;
 }
 

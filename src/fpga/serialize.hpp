@@ -5,10 +5,13 @@
 // save -> load -> save is byte-identical.
 #pragma once
 
-#include <istream>
 #include <ostream>
 
 #include "fpga/par.hpp"
+
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
 
 namespace hcp::fpga {
 
@@ -16,7 +19,7 @@ void writeImplementation(std::ostream& os, const Implementation& impl);
 
 /// Reads what writeImplementation wrote. Throws hcp::Error on malformed
 /// input.
-Implementation readImplementation(std::istream& is);
+Implementation readImplementation(support::txt::Reader& in);
 
 /// Canonical text fingerprint of a device: every Config field. Two devices
 /// fingerprint identically iff pack/place/route behave identically on them.

@@ -11,12 +11,12 @@ void writeResource(std::ostream& os, const Resource& r) {
   os << r.lut << ' ' << r.ff << ' ' << r.dsp << ' ' << r.bram;
 }
 
-Resource readResource(std::istream& is) {
+Resource readResource(txt::Reader& in) {
   Resource r;
-  r.lut = txt::read<double>(is, "resource lut");
-  r.ff = txt::read<double>(is, "resource ff");
-  r.dsp = txt::read<double>(is, "resource dsp");
-  r.bram = txt::read<double>(is, "resource bram");
+  r.lut = in.read<double>("resource lut");
+  r.ff = in.read<double>("resource ff");
+  r.dsp = in.read<double>("resource dsp");
+  r.bram = in.read<double>("resource bram");
   return r;
 }
 
@@ -27,20 +27,16 @@ void writeScheduleConstraints(std::ostream& os,
      << ' ' << c.callInstanceLimit << ' ' << c.chainingSlackFactor << '\n';
 }
 
-ScheduleConstraints readScheduleConstraints(std::istream& is) {
-  txt::expect(is, "constraints");
+ScheduleConstraints readScheduleConstraints(txt::Reader& in) {
+  in.expect("constraints");
   ScheduleConstraints c;
-  c.clockPeriodNs = txt::read<double>(is, "constraints clockPeriodNs");
-  c.clockUncertaintyNs =
-      txt::read<double>(is, "constraints clockUncertaintyNs");
-  c.dspLimit = txt::read<std::uint32_t>(is, "constraints dspLimit");
-  c.memPortsPerBank =
-      txt::read<std::uint32_t>(is, "constraints memPortsPerBank");
-  c.divLimit = txt::read<std::uint32_t>(is, "constraints divLimit");
-  c.callInstanceLimit =
-      txt::read<std::uint32_t>(is, "constraints callInstanceLimit");
-  c.chainingSlackFactor =
-      txt::read<double>(is, "constraints chainingSlackFactor");
+  c.clockPeriodNs = in.read<double>("constraints clockPeriodNs");
+  c.clockUncertaintyNs = in.read<double>("constraints clockUncertaintyNs");
+  c.dspLimit = in.read<std::uint32_t>("constraints dspLimit");
+  c.memPortsPerBank = in.read<std::uint32_t>("constraints memPortsPerBank");
+  c.divLimit = in.read<std::uint32_t>("constraints divLimit");
+  c.callInstanceLimit = in.read<std::uint32_t>("constraints callInstanceLimit");
+  c.chainingSlackFactor = in.read<double>("constraints chainingSlackFactor");
   return c;
 }
 
@@ -54,21 +50,21 @@ void writeSchedule(std::ostream& os, const Schedule& s) {
        << op.delayNs << ' ' << op.latency << '\n';
 }
 
-Schedule readSchedule(std::istream& is) {
-  txt::expect(is, "schedule");
+Schedule readSchedule(txt::Reader& in) {
+  in.expect("schedule");
   Schedule s;
-  const auto numOps = txt::read<std::size_t>(is, "schedule op count");
-  s.numSteps = txt::read<std::uint32_t>(is, "schedule numSteps");
-  s.totalLatency = txt::read<std::uint64_t>(is, "schedule totalLatency");
-  s.estimatedClockNs = txt::read<double>(is, "schedule estimatedClockNs");
+  const auto numOps = in.readCount("schedule op count");
+  s.numSteps = in.read<std::uint32_t>("schedule numSteps");
+  s.totalLatency = in.read<std::uint64_t>("schedule totalLatency");
+  s.estimatedClockNs = in.read<double>("schedule estimatedClockNs");
   s.ops.reserve(numOps);
   for (std::size_t i = 0; i < numOps; ++i) {
     OpSchedule op;
-    op.startStep = txt::read<std::uint32_t>(is, "opschedule startStep");
-    op.endStep = txt::read<std::uint32_t>(is, "opschedule endStep");
-    op.startOffsetNs = txt::read<double>(is, "opschedule startOffsetNs");
-    op.delayNs = txt::read<double>(is, "opschedule delayNs");
-    op.latency = txt::read<std::uint32_t>(is, "opschedule latency");
+    op.startStep = in.read<std::uint32_t>("opschedule startStep");
+    op.endStep = in.read<std::uint32_t>("opschedule endStep");
+    op.startOffsetNs = in.read<double>("opschedule startOffsetNs");
+    op.delayNs = in.read<double>("opschedule delayNs");
+    op.latency = in.read<std::uint32_t>("opschedule latency");
     s.ops.push_back(op);
   }
   return s;
@@ -95,33 +91,33 @@ void writeBinding(std::ostream& os, const Binding& b) {
   os << ' ' << b.totalMuxCount << '\n';
 }
 
-Binding readBinding(std::istream& is) {
-  txt::expect(is, "binding");
+Binding readBinding(txt::Reader& in) {
+  in.expect("binding");
   Binding b;
-  const auto numFus = txt::read<std::size_t>(is, "binding fu count");
+  const auto numFus = in.readCount("binding fu count");
   b.fus.reserve(numFus);
   for (std::size_t i = 0; i < numFus; ++i) {
     FuInstance fu;
-    const auto opcode = txt::read<unsigned>(is, "fu opcode");
+    const auto opcode = in.read<unsigned>("fu opcode");
     HCP_CHECK_MSG(opcode < ir::kNumOpcodes,
                   "fu opcode out of range: " << opcode);
     fu.opcode = static_cast<ir::Opcode>(opcode);
-    fu.width = txt::read<std::uint16_t>(is, "fu width");
-    fu.ops = txt::readVec<ir::OpId>(is, "fu ops");
-    fu.unitRes = readResource(is);
-    fu.muxRes = readResource(is);
-    fu.muxCount = txt::read<std::uint32_t>(is, "fu muxCount");
-    fu.muxInputs = txt::read<std::uint32_t>(is, "fu muxInputs");
-    fu.callee = txt::readStr(is, "fu callee");
+    fu.width = in.read<std::uint16_t>("fu width");
+    fu.ops = in.readVec<ir::OpId>("fu ops");
+    fu.unitRes = readResource(in);
+    fu.muxRes = readResource(in);
+    fu.muxCount = in.read<std::uint32_t>("fu muxCount");
+    fu.muxInputs = in.read<std::uint32_t>("fu muxInputs");
+    fu.callee = in.readStr("fu callee");
     b.fus.push_back(std::move(fu));
   }
-  txt::expect(is, "fuofop");
-  b.fuOfOp = txt::readVec<std::uint32_t>(is, "fuOfOp");
-  txt::expect(is, "sharing");
-  b.sharedUnits = txt::read<std::size_t>(is, "binding sharedUnits");
-  b.sharedOps = txt::read<std::size_t>(is, "binding sharedOps");
-  b.totalMuxRes = readResource(is);
-  b.totalMuxCount = txt::read<std::uint32_t>(is, "binding totalMuxCount");
+  in.expect("fuofop");
+  b.fuOfOp = in.readVec<std::uint32_t>("fuOfOp");
+  in.expect("sharing");
+  b.sharedUnits = in.read<std::size_t>("binding sharedUnits");
+  b.sharedOps = in.read<std::size_t>("binding sharedOps");
+  b.totalMuxRes = readResource(in);
+  b.totalMuxCount = in.read<std::uint32_t>("binding totalMuxCount");
   return b;
 }
 
@@ -147,29 +143,28 @@ void writeFunctionReport(std::ostream& os, const FunctionReport& r) {
      << r.targetClockNs << ' ' << r.clockUncertaintyNs << '\n';
 }
 
-FunctionReport readFunctionReport(std::istream& is) {
-  txt::expect(is, "report");
+FunctionReport readFunctionReport(txt::Reader& in) {
+  in.expect("report");
   FunctionReport r;
-  r.fuRes = readResource(is);
-  r.regRes = readResource(is);
-  r.memRes = readResource(is);
-  r.muxRes = readResource(is);
-  r.calleeRes = readResource(is);
-  r.totalRes = readResource(is);
-  r.memory.words = txt::read<std::uint64_t>(is, "report memory words");
-  r.memory.banks = txt::read<std::uint64_t>(is, "report memory banks");
-  r.memory.bits = txt::read<std::uint64_t>(is, "report memory bits");
-  r.memory.primitives =
-      txt::read<std::uint64_t>(is, "report memory primitives");
-  r.mux.count = txt::read<std::uint32_t>(is, "report mux count");
-  r.mux.res = readResource(is);
-  r.mux.totalInputs = txt::read<std::uint64_t>(is, "report mux totalInputs");
-  r.mux.avgWidth = txt::read<double>(is, "report mux avgWidth");
-  r.latency = txt::read<std::uint64_t>(is, "report latency");
-  r.numSteps = txt::read<std::uint32_t>(is, "report numSteps");
-  r.estimatedClockNs = txt::read<double>(is, "report estimatedClockNs");
-  r.targetClockNs = txt::read<double>(is, "report targetClockNs");
-  r.clockUncertaintyNs = txt::read<double>(is, "report clockUncertaintyNs");
+  r.fuRes = readResource(in);
+  r.regRes = readResource(in);
+  r.memRes = readResource(in);
+  r.muxRes = readResource(in);
+  r.calleeRes = readResource(in);
+  r.totalRes = readResource(in);
+  r.memory.words = in.read<std::uint64_t>("report memory words");
+  r.memory.banks = in.read<std::uint64_t>("report memory banks");
+  r.memory.bits = in.read<std::uint64_t>("report memory bits");
+  r.memory.primitives = in.read<std::uint64_t>("report memory primitives");
+  r.mux.count = in.read<std::uint32_t>("report mux count");
+  r.mux.res = readResource(in);
+  r.mux.totalInputs = in.read<std::uint64_t>("report mux totalInputs");
+  r.mux.avgWidth = in.read<double>("report mux avgWidth");
+  r.latency = in.read<std::uint64_t>("report latency");
+  r.numSteps = in.read<std::uint32_t>("report numSteps");
+  r.estimatedClockNs = in.read<double>("report estimatedClockNs");
+  r.targetClockNs = in.read<double>("report targetClockNs");
+  r.clockUncertaintyNs = in.read<double>("report clockUncertaintyNs");
   return r;
 }
 
@@ -190,28 +185,28 @@ void writeDesign(std::ostream& os, const SynthesizedDesign& design) {
   }
 }
 
-SynthesizedDesign readDesign(std::istream& is) {
-  txt::expect(is, "design");
+SynthesizedDesign readDesign(txt::Reader& in) {
+  in.expect("design");
   SynthesizedDesign design;
-  design.module = ir::readModule(is);
-  design.constraints = readScheduleConstraints(is);
-  txt::expect(is, "functions");
-  const auto numFunctions = txt::read<std::size_t>(is, "synthfn count");
+  design.module = ir::readModule(in);
+  design.constraints = readScheduleConstraints(in);
+  in.expect("functions");
+  const auto numFunctions = in.readCount("synthfn count");
   design.functions.reserve(numFunctions);
   for (std::size_t i = 0; i < numFunctions; ++i) {
     SynthesizedFunction fn;
-    txt::expect(is, "synthfn");
-    fn.functionIndex = txt::read<std::uint32_t>(is, "synthfn index");
+    in.expect("synthfn");
+    fn.functionIndex = in.read<std::uint32_t>("synthfn index");
     HCP_CHECK_MSG(fn.functionIndex < design.module->numFunctions(),
                   "synthfn index " << fn.functionIndex
                                    << " out of range for module with "
                                    << design.module->numFunctions()
                                    << " functions");
-    fn.schedule = readSchedule(is);
-    fn.binding = readBinding(is);
+    fn.schedule = readSchedule(in);
+    fn.binding = readBinding(in);
     fn.graph = ir::DependencyGraph::read(
-        is, design.module->function(fn.functionIndex));
-    fn.report = readFunctionReport(is);
+        in, design.module->function(fn.functionIndex));
+    fn.report = readFunctionReport(in);
     design.functions.push_back(std::move(fn));
   }
   return design;

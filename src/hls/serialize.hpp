@@ -6,10 +6,13 @@
 // extraction and RTL generation bit-identically to the original.
 #pragma once
 
-#include <istream>
 #include <ostream>
 
 #include "hls/design.hpp"
+
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
 
 namespace hcp::hls {
 
@@ -18,7 +21,7 @@ void writeDesign(std::ostream& os, const SynthesizedDesign& design);
 /// Reads a design written by writeDesign. Per-function dependency graphs are
 /// rebound to the freshly read module's functions. Throws hcp::Error on
 /// malformed input.
-SynthesizedDesign readDesign(std::istream& is);
+SynthesizedDesign readDesign(support::txt::Reader& in);
 
 /// Canonical text form of a directive set (map-ordered, complete). Feeds the
 /// flow-cache key: two DirectiveSets serialize identically iff they request
@@ -27,9 +30,9 @@ void writeDirectives(std::ostream& os, const DirectiveSet& dirs);
 
 /// Scalar blocks shared with core/flow_serialize.
 void writeResource(std::ostream& os, const Resource& r);
-Resource readResource(std::istream& is);
+Resource readResource(support::txt::Reader& in);
 void writeScheduleConstraints(std::ostream& os,
                               const ScheduleConstraints& c);
-ScheduleConstraints readScheduleConstraints(std::istream& is);
+ScheduleConstraints readScheduleConstraints(support::txt::Reader& in);
 
 }  // namespace hcp::hls

@@ -16,6 +16,10 @@
 
 #include "ir/function.hpp"
 
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
+
 namespace hcp::ir {
 
 using NodeId = std::uint32_t;
@@ -84,7 +88,7 @@ class DependencyGraph {
   /// was built from (the flow-cache reader passes the freshly deserialized
   /// module's function). Defined in ir/serialize.cpp.
   void write(std::ostream& os) const;
-  static DependencyGraph read(std::istream& is, const Function& fn);
+  static DependencyGraph read(support::txt::Reader& in, const Function& fn);
 
  private:
   void addEdge(NodeId from, NodeId to, double wires);

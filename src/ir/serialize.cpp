@@ -20,29 +20,29 @@ void writeOp(std::ostream& os, const Op& op) {
   os << '\n';
 }
 
-Op readOp(std::istream& is) {
+Op readOp(txt::Reader& in) {
   Op op;
-  const auto opcode = txt::read<unsigned>(is, "op opcode");
+  const auto opcode = in.read<unsigned>("op opcode");
   HCP_CHECK_MSG(opcode < kNumOpcodes, "op opcode out of range: " << opcode);
   op.opcode = static_cast<Opcode>(opcode);
-  op.bitwidth = txt::read<std::uint16_t>(is, "op bitwidth");
-  op.loop = txt::read<LoopId>(is, "op loop");
-  op.sourceLine = txt::read<std::int32_t>(is, "op sourceLine");
-  const auto numOperands = txt::read<std::size_t>(is, "op operand count");
+  op.bitwidth = in.read<std::uint16_t>("op bitwidth");
+  op.loop = in.read<LoopId>("op loop");
+  op.sourceLine = in.read<std::int32_t>("op sourceLine");
+  const auto numOperands = in.readCount("op operand count");
   op.operands.reserve(numOperands);
   for (std::size_t i = 0; i < numOperands; ++i) {
     Operand o;
-    o.producer = txt::read<OpId>(is, "operand producer");
-    o.bitsUsed = txt::read<std::uint16_t>(is, "operand bitsUsed");
+    o.producer = in.read<OpId>("operand producer");
+    o.bitsUsed = in.read<std::uint16_t>("operand bitsUsed");
     op.operands.push_back(o);
   }
-  op.constValue = txt::read<std::int64_t>(is, "op constValue");
-  op.array = txt::read<ArrayId>(is, "op array");
-  op.port = txt::read<PortId>(is, "op port");
-  op.callee = txt::read<std::uint32_t>(is, "op callee");
-  op.originOp = txt::read<OpId>(is, "op originOp");
-  op.replicaIndex = txt::read<std::uint32_t>(is, "op replicaIndex");
-  op.name = txt::readStr(is, "op name");
+  op.constValue = in.read<std::int64_t>("op constValue");
+  op.array = in.read<ArrayId>("op array");
+  op.port = in.read<PortId>("op port");
+  op.callee = in.read<std::uint32_t>("op callee");
+  op.originOp = in.read<OpId>("op originOp");
+  op.replicaIndex = in.read<std::uint32_t>("op replicaIndex");
+  op.name = in.readStr("op name");
   return op;
 }
 
@@ -76,22 +76,21 @@ void writeFunction(std::ostream& os, const Function& fn) {
   for (const Op& op : fn.ops()) writeOp(os, op);
 }
 
-std::unique_ptr<Function> readFunction(std::istream& is) {
-  txt::expect(is, "function");
-  auto fn = std::make_unique<Function>(txt::readStr(is, "function name"));
-  txt::expect(is, "loops");
-  const auto numLoops = txt::read<std::size_t>(is, "loop count");
+std::unique_ptr<Function> readFunction(txt::Reader& in) {
+  in.expect("function");
+  auto fn = std::make_unique<Function>(in.readStr("function name"));
+  in.expect("loops");
+  const auto numLoops = in.readCount("loop count");
   HCP_CHECK_MSG(numLoops >= 1, "function must have the implicit body loop");
   for (LoopId l = 0; l < numLoops; ++l) {
     LoopInfo info;
-    info.name = txt::readStr(is, "loop name");
-    info.parent = txt::read<LoopId>(is, "loop parent");
-    info.tripCount = txt::read<std::uint64_t>(is, "loop tripCount");
-    info.unrollFactor = txt::read<std::uint32_t>(is, "loop unrollFactor");
-    info.pipelined = txt::readBool(is, "loop pipelined");
-    info.initiationInterval =
-        txt::read<std::uint32_t>(is, "loop initiationInterval");
-    info.sourceLine = txt::read<std::int32_t>(is, "loop sourceLine");
+    info.name = in.readStr("loop name");
+    info.parent = in.read<LoopId>("loop parent");
+    info.tripCount = in.read<std::uint64_t>("loop tripCount");
+    info.unrollFactor = in.read<std::uint32_t>("loop unrollFactor");
+    info.pipelined = in.readBool("loop pipelined");
+    info.initiationInterval = in.read<std::uint32_t>("loop initiationInterval");
+    info.sourceLine = in.read<std::int32_t>("loop sourceLine");
     // The Function constructor already created region 0 (the body);
     // overwrite it in place so the stored fields win exactly.
     if (l == 0)
@@ -99,35 +98,35 @@ std::unique_ptr<Function> readFunction(std::istream& is) {
     else
       fn->addLoop(std::move(info));
   }
-  txt::expect(is, "arrays");
-  const auto numArrays = txt::read<std::size_t>(is, "array count");
+  in.expect("arrays");
+  const auto numArrays = in.readCount("array count");
   for (std::size_t a = 0; a < numArrays; ++a) {
     ArrayInfo info;
-    info.name = txt::readStr(is, "array name");
-    info.words = txt::read<std::uint64_t>(is, "array words");
-    info.bitwidth = txt::read<std::uint16_t>(is, "array bitwidth");
-    info.banks = txt::read<std::uint32_t>(is, "array banks");
-    info.sourceLine = txt::read<std::int32_t>(is, "array sourceLine");
+    info.name = in.readStr("array name");
+    info.words = in.read<std::uint64_t>("array words");
+    info.bitwidth = in.read<std::uint16_t>("array bitwidth");
+    info.banks = in.read<std::uint32_t>("array banks");
+    info.sourceLine = in.read<std::int32_t>("array sourceLine");
     fn->addArray(std::move(info));
   }
-  txt::expect(is, "ports");
-  const auto numPorts = txt::read<std::size_t>(is, "port count");
+  in.expect("ports");
+  const auto numPorts = in.readCount("port count");
   for (std::size_t p = 0; p < numPorts; ++p) {
     PortInfo info;
-    info.name = txt::readStr(is, "port name");
-    const auto dir = txt::read<unsigned>(is, "port direction");
+    info.name = in.readStr("port name");
+    const auto dir = in.read<unsigned>("port direction");
     HCP_CHECK_MSG(dir <= 1, "port direction out of range: " << dir);
     info.direction = static_cast<PortDirection>(dir);
-    info.bitwidth = txt::read<std::uint16_t>(is, "port bitwidth");
+    info.bitwidth = in.read<std::uint16_t>("port bitwidth");
     fn->addPort(std::move(info));
   }
-  txt::expect(is, "ops");
-  const auto numOps = txt::read<std::size_t>(is, "op count");
+  in.expect("ops");
+  const auto numOps = in.readCount("op count");
   // Bypass addOp (which rewrites an unset originOp) and assign the vector
   // directly, preserving every stored byte.
   std::vector<Op> ops;
   ops.reserve(numOps);
-  for (std::size_t i = 0; i < numOps; ++i) ops.push_back(readOp(is));
+  for (std::size_t i = 0; i < numOps; ++i) ops.push_back(readOp(in));
   fn->ops() = std::move(ops);
   return fn;
 }
@@ -145,15 +144,15 @@ void writeModule(std::ostream& os, const Module& mod) {
     writeFunction(os, mod.function(i));
 }
 
-std::unique_ptr<Module> readModule(std::istream& is) {
-  txt::expect(is, "module");
-  auto mod = std::make_unique<Module>(txt::readStr(is, "module name"));
-  txt::expect(is, "top");
-  const std::string top = txt::readStr(is, "top name");
-  txt::expect(is, "functions");
-  const auto numFunctions = txt::read<std::size_t>(is, "function count");
+std::unique_ptr<Module> readModule(txt::Reader& in) {
+  in.expect("module");
+  auto mod = std::make_unique<Module>(in.readStr("module name"));
+  in.expect("top");
+  const std::string top = in.readStr("top name");
+  in.expect("functions");
+  const auto numFunctions = in.readCount("function count");
   for (std::size_t i = 0; i < numFunctions; ++i)
-    mod->addFunction(readFunction(is));
+    mod->addFunction(readFunction(in));
   if (!top.empty()) mod->setTop(top);
   return mod;
 }
@@ -171,16 +170,16 @@ void writeNeighbors(std::ostream& os,
   }
 }
 
-std::vector<std::vector<Neighbor>> readNeighbors(std::istream& is,
+std::vector<std::vector<Neighbor>> readNeighbors(txt::Reader& in,
                                                  std::size_t numNodes) {
   std::vector<std::vector<Neighbor>> adj(numNodes);
   for (auto& list : adj) {
-    const auto n = txt::read<std::size_t>(is, "neighbor count");
+    const auto n = in.readCount("neighbor count");
     list.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       Neighbor nb;
-      nb.node = txt::read<NodeId>(is, "neighbor node");
-      nb.wires = txt::read<double>(is, "neighbor wires");
+      nb.node = in.read<NodeId>("neighbor node");
+      nb.wires = in.read<double>("neighbor wires");
       list.push_back(nb);
     }
   }
@@ -209,29 +208,29 @@ void DependencyGraph::write(std::ostream& os) const {
   os << '\n';
 }
 
-DependencyGraph DependencyGraph::read(std::istream& is, const Function& fn) {
+DependencyGraph DependencyGraph::read(txt::Reader& in, const Function& fn) {
   DependencyGraph g;
   g.fn_ = &fn;
-  txt::expect(is, "graph");
-  const auto numNodes = txt::read<std::size_t>(is, "graph node count");
+  in.expect("graph");
+  const auto numNodes = in.readCount("graph node count");
   g.nodes_.reserve(numNodes);
   for (std::size_t i = 0; i < numNodes; ++i) {
     Node n;
-    const auto kind = txt::read<unsigned>(is, "node kind");
+    const auto kind = in.read<unsigned>("node kind");
     HCP_CHECK_MSG(kind <= 2, "graph node kind out of range: " << kind);
     n.kind = static_cast<NodeKind>(kind);
-    n.op = txt::read<OpId>(is, "node op");
-    n.port = txt::read<PortId>(is, "node port");
-    n.alive = txt::readBool(is, "node alive");
-    n.members = txt::readVec<OpId>(is, "node members");
+    n.op = in.read<OpId>("node op");
+    n.port = in.read<PortId>("node port");
+    n.alive = in.readBool("node alive");
+    n.members = in.readVec<OpId>("node members");
     g.nodes_.push_back(std::move(n));
   }
-  txt::expect(is, "preds");
-  g.preds_ = readNeighbors(is, numNodes);
-  txt::expect(is, "succs");
-  g.succs_ = readNeighbors(is, numNodes);
-  txt::expect(is, "opmap");
-  g.opToNode_ = txt::readVec<NodeId>(is, "opmap");
+  in.expect("preds");
+  g.preds_ = readNeighbors(in, numNodes);
+  in.expect("succs");
+  g.succs_ = readNeighbors(in, numNodes);
+  in.expect("opmap");
+  g.opToNode_ = in.readVec<NodeId>("opmap");
   HCP_CHECK_MSG(g.opToNode_.size() == fn.numOps(),
                 "graph op map does not match its function ("
                     << g.opToNode_.size() << " vs " << fn.numOps()

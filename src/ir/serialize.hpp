@@ -8,19 +8,22 @@
 // 17 significant digits; save -> load -> save is byte-identical.
 #pragma once
 
-#include <istream>
 #include <memory>
 #include <ostream>
 
 #include "ir/module.hpp"
+
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
 
 namespace hcp::ir {
 
 void writeModule(std::ostream& os, const Module& mod);
 
 /// Reads a module written by writeModule. Throws hcp::Error on malformed or
-/// truncated input. Does not require the stream to end afterwards (modules
+/// truncated input. Does not require the text to end afterwards (modules
 /// embed into larger documents).
-std::unique_ptr<Module> readModule(std::istream& is);
+std::unique_ptr<Module> readModule(support::txt::Reader& in);
 
 }  // namespace hcp::ir

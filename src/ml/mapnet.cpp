@@ -7,6 +7,7 @@
 
 #include "support/error.hpp"
 #include "support/parallel.hpp"
+#include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "support/textio.hpp"
 
@@ -330,17 +331,17 @@ void MapPrediction::write(std::ostream& os) const {
   os << '\n';
 }
 
-MapPrediction MapPrediction::read(std::istream& is) {
-  txt::expect(is, "hcp-map");
-  const int version = txt::read<int>(is, "map version");
+MapPrediction MapPrediction::read(txt::Reader& in) {
+  in.expect("hcp-map");
+  const int version = in.read<int>("map version");
   HCP_CHECK_MSG(version == 1, "unsupported map version " << version);
   MapPrediction map;
-  map.width = txt::read<std::uint32_t>(is, "map width");
-  map.height = txt::read<std::uint32_t>(is, "map height");
-  txt::expect(is, "vutil");
-  map.vUtil = txt::readVec<double>(is, "vutil");
-  txt::expect(is, "hutil");
-  map.hUtil = txt::readVec<double>(is, "hutil");
+  map.width = in.read<std::uint32_t>("map width");
+  map.height = in.read<std::uint32_t>("map height");
+  in.expect("vutil");
+  map.vUtil = in.readVec<double>("vutil");
+  in.expect("hutil");
+  map.hUtil = in.readVec<double>("hutil");
   HCP_CHECK_MSG(
       map.vUtil.size() == map.numTiles() && map.hUtil.size() == map.numTiles(),
       "map grid shape mismatch: " << map.width << "x" << map.height
@@ -356,10 +357,15 @@ void saveMapPrediction(const MapPrediction& map, std::ostream& os) {
   HCP_CHECK_MSG(os.good(), "map write failed");
 }
 
-MapPrediction loadMapPrediction(std::istream& is) {
-  MapPrediction map = MapPrediction::read(is);
-  txt::expectEnd(is, "congestion map");
+MapPrediction loadMapPrediction(std::string_view text) {
+  txt::Reader in(text);
+  MapPrediction map = MapPrediction::read(in);
+  in.expectEnd("congestion map");
   return map;
+}
+
+MapPrediction loadMapPrediction(std::istream& is) {
+  return loadMapPrediction(readAll(is));
 }
 
 void saveMapPredictionToFile(const MapPrediction& map,
@@ -782,42 +788,42 @@ void MapNet::write(std::ostream& os) const {
   os << "state " << epochsRun_ << ' ' << finalLoss_ << '\n';
 }
 
-void MapNet::read(std::istream& is) {
-  txt::expect(is, "shape");
-  inChannels_ = txt::read<std::size_t>(is, "channel count");
-  config_.hiddenChannels = txt::read<std::size_t>(is, "hidden channels");
-  config_.rounds = txt::read<std::size_t>(is, "rounds");
+void MapNet::read(txt::Reader& in) {
+  in.expect("shape");
+  inChannels_ = in.read<std::size_t>("channel count");
+  config_.hiddenChannels = in.read<std::size_t>("hidden channels");
+  config_.rounds = in.read<std::size_t>("rounds");
   HCP_CHECK_MSG(inChannels_ > 0, "mapnet: channel count must be positive");
-  txt::expect(is, "train");
-  config_.epochs = txt::read<std::size_t>(is, "epochs");
-  config_.learningRate = txt::read<double>(is, "learning rate");
-  config_.l2 = txt::read<double>(is, "l2");
-  config_.seed = txt::read<std::uint64_t>(is, "seed");
-  txt::expect(is, "scaler");
-  featMean_ = txt::readVec<double>(is, "feature means");
-  featStd_ = txt::readVec<double>(is, "feature stds");
+  in.expect("train");
+  config_.epochs = in.read<std::size_t>("epochs");
+  config_.learningRate = in.read<double>("learning rate");
+  config_.l2 = in.read<double>("l2");
+  config_.seed = in.read<std::uint64_t>("seed");
+  in.expect("scaler");
+  featMean_ = in.readVec<double>("feature means");
+  featStd_ = in.readVec<double>("feature stds");
   HCP_CHECK_MSG(
       featMean_.size() == inChannels_ && featStd_.size() == inChannels_,
       "mapnet: scaler covers " << featMean_.size() << " channels, expected "
                                << inChannels_);
-  txt::expect(is, "targets");
-  vMean_ = txt::read<double>(is, "v mean");
-  vStd_ = txt::read<double>(is, "v std");
-  hMean_ = txt::read<double>(is, "h mean");
-  hStd_ = txt::read<double>(is, "h std");
+  in.expect("targets");
+  vMean_ = in.read<double>("v mean");
+  vStd_ = in.read<double>("v std");
+  hMean_ = in.read<double>("h mean");
+  hStd_ = in.read<double>("h std");
   for (auto [name, tensor] :
        std::initializer_list<std::pair<const char*, std::vector<double>*>>{
            {"w1", &w1_}, {"b1", &b1_}, {"w2", &w2_}, {"b2", &b2_},
            {"wself", &wSelf_}, {"wmsg", &wMsg_}, {"bround", &bRound_}}) {
-    txt::expect(is, name);
-    *tensor = txt::readVec<double>(is, name);
+    in.expect(name);
+    *tensor = in.readVec<double>(name);
     // A model with a poisoned weight predicts NaN maps everywhere; reject
     // at load time, where the file can still be named.
     checkFinite(*tensor, name);
   }
-  txt::expect(is, "state");
-  epochsRun_ = txt::read<std::size_t>(is, "epochs run");
-  finalLoss_ = txt::read<double>(is, "final loss");
+  in.expect("state");
+  epochsRun_ = in.read<std::size_t>("epochs run");
+  finalLoss_ = in.read<double>("final loss");
   checkFinite(featMean_, "feature means");
   checkFinite(featStd_, "feature stds");
   checkShapes();
@@ -830,17 +836,21 @@ void saveMapModel(const MapNet& model, std::ostream& os) {
   HCP_CHECK_MSG(os.good(), "map-model write failed");
 }
 
-MapNet loadMapModel(std::istream& is) {
-  txt::expect(is, "hcp-mapmodel");
-  const std::string kind = txt::read<std::string>(is, "model kind");
-  const int version = txt::read<int>(is, "model version");
+MapNet loadMapModel(std::string_view text) {
+  txt::Reader in(text);
+  in.expect("hcp-mapmodel");
+  const std::string kind = in.read<std::string>("model kind");
+  const int version = in.read<int>("model version");
   HCP_CHECK_MSG(version == 1, "unsupported map-model version " << version);
   MapNetConfig config;
   config.topology = topologyFromName(kind);
   MapNet model(config);
-  model.read(is);
+  model.read(in);
+  in.expectEnd("map model");
   return model;
 }
+
+MapNet loadMapModel(std::istream& is) { return loadMapModel(readAll(is)); }
 
 void saveMapModelToFile(const MapNet& model, const std::string& path) {
   support::txt::CheckedFileWriter writer(path, "mapmodel");
@@ -852,9 +862,7 @@ MapNet loadMapModelFromFile(const std::string& path) {
   std::ifstream is(path);
   HCP_CHECK_MSG(is.good(), "cannot open " << path);
   try {
-    MapNet model = loadMapModel(is);
-    txt::expectEnd(is, "map model");
-    return model;
+    return loadMapModel(is);
   } catch (const Error& e) {
     throw Error(std::string(e.what()) + " [map-model file: " + path + "]");
   }

@@ -29,9 +29,14 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <string_view>
 #include <vector>
 
 #include "support/rng.hpp"
+
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
 
 namespace hcp::ml {
 
@@ -78,11 +83,13 @@ struct MapPrediction {
   std::string toCsv() const;
 
   void write(std::ostream& os) const;
-  static MapPrediction read(std::istream& is);
+  static MapPrediction read(support::txt::Reader& in);
 };
 
 void saveMapPrediction(const MapPrediction& map, std::ostream& os);
-/// Reads one map and rejects trailing garbage.
+/// Parses one map; `text` must hold nothing else.
+MapPrediction loadMapPrediction(std::string_view text);
+/// Reads the rest of `is` into memory and parses it as above.
 MapPrediction loadMapPrediction(std::istream& is);
 /// Atomic, verified write (failpoint site "mapout"). Throws hcp::IoError.
 void saveMapPredictionToFile(const MapPrediction& map,
@@ -126,7 +133,7 @@ class MapNet {
 
   /// Text serialization (saveMapModel / loadMapModel call these).
   void write(std::ostream& os) const;
-  void read(std::istream& is);
+  void read(support::txt::Reader& in);
 
  private:
   struct Workspace;
@@ -156,6 +163,9 @@ class MapNet {
 };
 
 void saveMapModel(const MapNet& model, std::ostream& os);
+/// Parses one model; `text` must hold nothing else.
+MapNet loadMapModel(std::string_view text);
+/// Reads the rest of `is` into memory and parses it as above.
 MapNet loadMapModel(std::istream& is);
 /// Atomic, verified write (failpoint site "mapmodel"). Throws hcp::IoError.
 void saveMapModelToFile(const MapNet& model, const std::string& path);

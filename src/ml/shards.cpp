@@ -184,32 +184,32 @@ ShardData readShard(const std::string& path) {
 
   ShardData data;
   data.info = env.info;
-  std::istringstream ps(bytes);
+  support::txt::Reader in(bytes);
   try {
-    support::txt::expect(ps, "design");
-    data.meta.design = support::txt::readStr(ps, "shard design");
-    support::txt::expect(ps, "device");
-    data.meta.device = support::txt::readStr(ps, "shard device");
-    support::txt::expect(ps, "seed");
-    data.meta.seed = support::txt::read<std::uint64_t>(ps, "shard seed");
+    in.expect("design");
+    data.meta.design = in.readStr("shard design");
+    in.expect("device");
+    data.meta.device = in.readStr("shard device");
+    in.expect("seed");
+    data.meta.seed = in.read<std::uint64_t>("shard seed");
     data.samples.reserve(env.info.numSamples);
     for (std::size_t i = 0; i < env.info.numSamples; ++i) {
-      support::txt::expect(ps, "sample");
+      in.expect("sample");
       ShardSample s;
-      s.id = support::txt::read<std::uint64_t>(ps, "sample id");
+      s.id = in.read<std::uint64_t>("sample id");
       HCP_CHECK_MSG(s.id == sampleId(env.info.key, i),
                     "shard sample " << i << " has id " << s.id
                                     << ", expected canonical id "
                                     << sampleId(env.info.key, i));
-      s.vertical = support::txt::read<double>(ps, "sample labels");
-      s.horizontal = support::txt::read<double>(ps, "sample labels");
-      s.average = support::txt::read<double>(ps, "sample labels");
+      s.vertical = in.read<double>("sample labels");
+      s.horizontal = in.read<double>("sample labels");
+      s.average = in.read<double>("sample labels");
       s.features.reserve(env.info.numFeatures);
       for (std::size_t f = 0; f < env.info.numFeatures; ++f)
-        s.features.push_back(support::txt::read<double>(ps, "sample features"));
+        s.features.push_back(in.read<double>("sample features"));
       data.samples.push_back(std::move(s));
     }
-    support::txt::expectEnd(ps, "shard payload");
+    in.expectEnd("shard payload");
   } catch (const Error& e) {
     throw Error(std::string(e.what()) + " [shard file: " + path + "]");
   }

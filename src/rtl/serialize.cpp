@@ -43,60 +43,60 @@ void writeGeneratedRtl(std::ostream& os, const GeneratedRtl& rtl) {
     os << key << ' ' << cell << '\n';
 }
 
-GeneratedRtl readGeneratedRtl(std::istream& is) {
-  txt::expect(is, "rtl");
-  txt::expect(is, "netlist");
+GeneratedRtl readGeneratedRtl(txt::Reader& in) {
+  in.expect("rtl");
+  in.expect("netlist");
   GeneratedRtl rtl;
-  Netlist nl(txt::readStr(is, "netlist name"));
-  txt::expect(is, "instances");
-  const auto numInstances = txt::read<std::size_t>(is, "instance count");
+  Netlist nl(in.readStr("netlist name"));
+  in.expect("instances");
+  const auto numInstances = in.readCount("instance count");
   for (std::size_t i = 0; i < numInstances; ++i) {
     Instance inst;
-    inst.name = txt::readStr(is, "instance name");
-    inst.functionIndex = txt::read<std::uint32_t>(is, "instance function");
-    inst.parent = txt::read<InstanceId>(is, "instance parent");
+    inst.name = in.readStr("instance name");
+    inst.functionIndex = in.read<std::uint32_t>("instance function");
+    inst.parent = in.read<InstanceId>("instance parent");
     nl.addInstance(std::move(inst));
   }
-  txt::expect(is, "cells");
-  const auto numCells = txt::read<std::size_t>(is, "cell count");
+  in.expect("cells");
+  const auto numCells = in.readCount("cell count");
   for (std::size_t i = 0; i < numCells; ++i) {
     Cell c;
-    const auto type = txt::read<unsigned>(is, "cell type");
+    const auto type = in.read<unsigned>("cell type");
     HCP_CHECK_MSG(type <= static_cast<unsigned>(CellType::Pad),
                   "cell type out of range: " << type);
     c.type = static_cast<CellType>(type);
-    c.name = txt::readStr(is, "cell name");
-    c.width = txt::read<std::uint16_t>(is, "cell width");
-    c.res = hls::readResource(is);
-    c.delayNs = txt::read<double>(is, "cell delayNs");
-    c.sequential = txt::readBool(is, "cell sequential");
-    c.instance = txt::read<InstanceId>(is, "cell instance");
-    c.ops = txt::readVec<ir::OpId>(is, "cell ops");
-    c.sourceLine = txt::read<std::int32_t>(is, "cell sourceLine");
-    c.array = txt::read<ir::ArrayId>(is, "cell array");
-    c.bankIndex = txt::read<std::uint32_t>(is, "cell bankIndex");
+    c.name = in.readStr("cell name");
+    c.width = in.read<std::uint16_t>("cell width");
+    c.res = hls::readResource(in);
+    c.delayNs = in.read<double>("cell delayNs");
+    c.sequential = in.readBool("cell sequential");
+    c.instance = in.read<InstanceId>("cell instance");
+    c.ops = in.readVec<ir::OpId>("cell ops");
+    c.sourceLine = in.read<std::int32_t>("cell sourceLine");
+    c.array = in.read<ir::ArrayId>("cell array");
+    c.bankIndex = in.read<std::uint32_t>("cell bankIndex");
     nl.addCell(std::move(c));
   }
-  txt::expect(is, "nets");
-  const auto numNets = txt::read<std::size_t>(is, "net count");
+  in.expect("nets");
+  const auto numNets = in.readCount("net count");
   for (std::size_t i = 0; i < numNets; ++i) {
     Net n;
-    n.name = txt::readStr(is, "net name");
-    n.width = txt::read<std::uint16_t>(is, "net width");
-    n.driver = txt::read<CellId>(is, "net driver");
+    n.name = in.readStr("net name");
+    n.width = in.read<std::uint16_t>("net width");
+    n.driver = in.read<CellId>("net driver");
     HCP_CHECK_MSG(n.driver < nl.numCells(),
                   "net '" << n.name << "' drives from unknown cell "
                           << n.driver);
-    n.sinks = txt::readVec<CellId>(is, "net sinks");
+    n.sinks = in.readVec<CellId>("net sinks");
     nl.addNet(std::move(n));
   }
   rtl.netlist = std::move(nl);
-  txt::expect(is, "provenance");
-  const auto numProv = txt::read<std::size_t>(is, "provenance count");
+  in.expect("provenance");
+  const auto numProv = in.readCount("provenance count");
   rtl.provenance.opCells.reserve(numProv);
   for (std::size_t i = 0; i < numProv; ++i) {
-    const auto key = txt::read<std::uint64_t>(is, "provenance key");
-    const auto cell = txt::read<CellId>(is, "provenance cell");
+    const auto key = in.read<std::uint64_t>("provenance key");
+    const auto cell = in.read<CellId>("provenance cell");
     rtl.provenance.opCells.emplace_back(key, cell);
   }
   return rtl;

@@ -5,16 +5,19 @@
 // significant digits; save -> load -> save is byte-identical.
 #pragma once
 
-#include <istream>
 #include <ostream>
 
 #include "rtl/generator.hpp"
+
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
 
 namespace hcp::rtl {
 
 void writeGeneratedRtl(std::ostream& os, const GeneratedRtl& rtl);
 
 /// Reads what writeGeneratedRtl wrote. Throws hcp::Error on malformed input.
-GeneratedRtl readGeneratedRtl(std::istream& is);
+GeneratedRtl readGeneratedRtl(support::txt::Reader& in);
 
 }  // namespace hcp::rtl

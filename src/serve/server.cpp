@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <unordered_map>
 
 #include "apps/registry.hpp"
@@ -326,8 +325,7 @@ Server::WorkResult Server::executeFlow(const Request& r) const {
     std::optional<std::string> payload = cache->load(r.cacheKey);
     if (!payload)
       throw Error("key '" + r.cacheKey + "' is not in the flow cache");
-    std::istringstream is(*payload);
-    const core::FlowResult result = core::readFlowResult(is);
+    const core::FlowResult result = core::readFlowResult(*payload);
     tel::count(tel::Counter::FlowCacheHit);
     out.body = flowBody(result, r.cacheKey, true);
     out.fromCache = true;

@@ -54,14 +54,19 @@ std::string FlowCache::entryPath(const std::string& key) const {
 
 namespace {
 
-/// Reads the whole file; nullopt when it does not exist / cannot be opened.
+/// Reads the whole file with one read sized from the opened stream (so an
+/// entry renamed into place meanwhile cannot mix with the old one); nullopt
+/// when it does not exist, is not a regular file or cannot be read.
 std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::error_code ec;
+  if (!fs::is_regular_file(path, ec)) return std::nullopt;
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is.good()) return std::nullopt;
-  std::ostringstream os;
-  os << is.rdbuf();
-  if (is.bad()) return std::nullopt;
-  return std::move(os).str();
+  const std::streamoff size = is.tellg();
+  if (size < 0 || !is.seekg(0)) return std::nullopt;
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  if (!is.read(bytes.data(), size)) return std::nullopt;
+  return bytes;
 }
 
 void corrupt(const std::string& path, const char* why) {
@@ -150,7 +155,8 @@ std::optional<std::string> FlowCache::load(const std::string& key) const {
     corrupt(path, "key mismatch (entry stored under a different digest)");
     return std::nullopt;
   }
-  std::string payload = raw->substr(nl + 1);
+  raw->erase(0, nl + 1);  // drop the header in place; the rest is payload
+  std::string& payload = *raw;
   if (payload.size() != payloadBytes) {
     corrupt(path, payload.size() < payloadBytes
                       ? "truncated payload"
@@ -161,7 +167,7 @@ std::optional<std::string> FlowCache::load(const std::string& key) const {
     corrupt(path, "payload hash mismatch (bit rot or concurrent tampering)");
     return std::nullopt;
   }
-  return payload;
+  return raw;
 }
 
 bool FlowCache::store(const std::string& key,

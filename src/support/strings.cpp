@@ -1,6 +1,8 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <istream>
+#include <sstream>
 
 namespace hcp {
 
@@ -45,6 +47,12 @@ std::string toLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+std::string readAll(std::istream& is) {
+  std::ostringstream os;
+  os << is.rdbuf();  // sets failbit on `os` only when `is` is empty
+  return std::move(os).str();
 }
 
 }  // namespace hcp

@@ -2,6 +2,7 @@
 // directive specs in examples, report formatting).
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,5 +24,9 @@ bool startsWith(std::string_view s, std::string_view prefix);
 
 /// Lower-cases ASCII.
 std::string toLower(std::string_view s);
+
+/// The rest of `is`, read into one string (the in-memory readers parse
+/// whole documents).
+std::string readAll(std::istream& is);
 
 }  // namespace hcp

@@ -55,6 +55,7 @@ const char* const kCounterNames[kNumCounters] = {
     "serve_map_requests",
     "shard_writes",
     "shard_reads",
+    "flow_bytes_parsed",
 };
 
 const char* const kHistogramNames[kNumHistograms] = {

@@ -87,6 +87,7 @@ enum class Counter : std::size_t {
   ServeMapRequests,     ///< predict_map requests admitted by hcp_serve
   ShardWrites,          ///< dataset shards written (ml/shards)
   ShardReads,           ///< dataset shards read and fully validated
+  FlowBytesParsed,      ///< payload bytes of flow results parsed (readFlowResult)
   kCount,
 };
 

@@ -1,6 +1,8 @@
 // Shared primitives of the line-oriented text serializers (ir/hls/rtl/fpga/
-// trace `serialize.hpp`, ml/serialize.cpp's older sibling). The format goals
-// are the ones the flow cache needs:
+// trace `serialize.hpp`, core/flow_serialize, the map model and dataset
+// shards). Writers print to a std::ostream; readers parse a whole document
+// held in memory through one txt::Reader cursor (DESIGN.md §13, "Text
+// codec"). The format goals are the ones the flow cache needs:
 //
 //   - *exact* round trips: doubles are printed with 17 significant digits
 //     (writers call `preparePrecision` once per document), so
@@ -8,22 +10,25 @@
 //     loaded values are bit-identical to the saved ones;
 //   - robust strings: length-prefixed raw bytes (`5 hello`), so names with
 //     spaces or any other byte survive unquoted;
-//   - loud failures: every read checks the stream and throws hcp::Error on
-//     truncation or token mismatch — a corrupt document can never parse into
-//     a half-filled struct silently.
+//   - loud failures: every read checks its token and throws hcp::Error on
+//     truncation, a malformed number or a token mismatch — a corrupt
+//     document can never parse into a half-filled struct silently.
 #pragma once
 
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/error.hpp"
@@ -133,47 +138,13 @@ class CheckedFileWriter {
 /// top of every public write entry point.
 inline void preparePrecision(std::ostream& os) { os.precision(17); }
 
-/// Reads one whitespace-delimited token and requires it to equal `token`.
-inline void expect(std::istream& is, const char* token) {
-  std::string got;
-  HCP_CHECK_MSG(static_cast<bool>(is >> got) && got == token,
-                "serialized document: expected '" << token << "', got '"
-                                                  << got << "'");
-}
-
-/// Checked `>>` for arithmetic values.
-template <typename T>
-T read(std::istream& is, const char* what) {
-  T v{};
-  HCP_CHECK_MSG(static_cast<bool>(is >> v),
-                "serialized document: truncated while reading " << what);
-  return v;
-}
-
-/// Bools as 0/1 (operator>> would also accept them, but keep writes explicit).
+/// Bools as 0/1 (the reader accepts exactly these two tokens).
 inline void writeBool(std::ostream& os, bool b) { os << (b ? 1 : 0); }
-
-inline bool readBool(std::istream& is, const char* what) {
-  const int v = read<int>(is, what);
-  HCP_CHECK_MSG(v == 0 || v == 1, what << ": bool must be 0 or 1, got " << v);
-  return v != 0;
-}
 
 /// Length-prefixed string: `<size> <raw bytes>`. The single separator after
 /// the size is consumed exactly, so the bytes may contain anything.
 inline void writeStr(std::ostream& os, const std::string& s) {
   os << s.size() << ' ' << s;
-}
-
-inline std::string readStr(std::istream& is, const char* what) {
-  const auto n = read<std::size_t>(is, what);
-  HCP_CHECK_MSG(is.get() == ' ',
-                what << ": malformed string (missing separator)");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  HCP_CHECK_MSG(static_cast<std::size_t>(is.gcount()) == n,
-                what << ": truncated string (wanted " << n << " bytes)");
-  return s;
 }
 
 /// `<n> v0 v1 ...` vectors of arithmetic values.
@@ -183,22 +154,131 @@ void writeVec(std::ostream& os, const std::vector<T>& v) {
   for (const T& x : v) os << ' ' << x;
 }
 
-template <typename T>
-std::vector<T> readVec(std::istream& is, const char* what) {
-  const auto n = read<std::size_t>(is, what);
-  std::vector<T> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(read<T>(is, what));
-  return v;
-}
+/// Cursor over one whole serialized document held in memory. Every read
+/// skips whitespace (space, \t, \n, \v, \f, \r), consumes one token and
+/// throws hcp::Error when the token is missing or malformed. Numbers go
+/// through std::from_chars, so the token grammar is from_chars' own:
+///
+///   - integers: decimal digits with an optional '-' for signed types only;
+///     no '+', no "0x" prefix, no value outside the target type's range;
+///   - doubles: decimal or exponent notation, finite and representable
+///     (no inf/nan, no overflow, no underflow to zero; subnormals are fine);
+///   - every number must end at whitespace or at the end of the text, so
+///     `1x` or `1.5` read as an integer are rejected, not split.
+///
+/// The cursor never copies the text; only readStr and read<std::string>
+/// allocate, for the strings they return. The viewed text must outlive the
+/// Reader.
+class Reader {
+ public:
+  explicit Reader(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
 
-/// Requires that nothing but whitespace remains — the no-trailing-garbage
-/// check every top-level reader runs before declaring success.
-inline void expectEnd(std::istream& is, const char* what) {
-  is >> std::ws;
-  std::string extra;
-  HCP_CHECK_MSG(!(is >> extra),
-                what << ": trailing garbage '" << extra << "' after document");
-}
+  /// Reads one token and requires it to equal `token`.
+  void expect(const char* token) {
+    const std::string_view got = nextToken();
+    HCP_CHECK_MSG(got == token, "serialized document: expected '"
+                                    << token << "', got '" << got << "'");
+  }
+
+  /// Reads one arithmetic value, or one whitespace-delimited word when T is
+  /// std::string.
+  template <typename T>
+  T read(const char* what) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      const std::string_view word = nextToken();
+      HCP_CHECK_MSG(!word.empty(),
+                    "serialized document: truncated while reading " << what);
+      return std::string(word);
+    } else {
+      static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>,
+                    "read<T> takes numbers (readBool for bools)");
+      skipSpace();
+      T v{};
+      const auto [next, ec] = std::from_chars(p_, end_, v);
+      bool ok = ec == std::errc() && (next == end_ || isSpace(*next));
+      if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+      HCP_CHECK_MSG(ok,
+                    "serialized document: truncated while reading " << what);
+      p_ = next;
+      return v;
+    }
+  }
+
+  /// Reads an element count and rejects one the rest of the text cannot
+  /// hold: every counted item is at least one token plus its separator, so
+  /// `n` items need 2n bytes. A corrupt count fails here, before any
+  /// caller reserves memory for it.
+  std::size_t readCount(const char* what) {
+    const auto n = read<std::size_t>(what);
+    HCP_CHECK_MSG(n <= remaining() / 2,
+                  "serialized document: truncated while reading " << what);
+    return n;
+  }
+
+  bool readBool(const char* what) {
+    const int v = read<int>(what);
+    HCP_CHECK_MSG(v == 0 || v == 1,
+                  what << ": bool must be 0 or 1, got " << v);
+    return v != 0;
+  }
+
+  /// Reads what writeStr wrote: the size, exactly one ' ', then that many
+  /// raw bytes.
+  std::string readStr(const char* what) {
+    skipSpace();
+    std::size_t n = 0;
+    const auto [next, ec] = std::from_chars(p_, end_, n);
+    HCP_CHECK_MSG(ec == std::errc(),
+                  "serialized document: truncated while reading " << what);
+    p_ = next;
+    HCP_CHECK_MSG(p_ != end_ && *p_ == ' ',
+                  what << ": malformed string (missing separator)");
+    ++p_;
+    HCP_CHECK_MSG(n <= remaining(),
+                  what << ": truncated string (wanted " << n << " bytes)");
+    std::string s(p_, n);
+    p_ += n;
+    return s;
+  }
+
+  template <typename T>
+  std::vector<T> readVec(const char* what) {
+    const std::size_t n = readCount(what);
+    std::vector<T> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) v.push_back(read<T>(what));
+    return v;
+  }
+
+  /// Requires that nothing but whitespace remains — the no-trailing-garbage
+  /// check every top-level reader runs before declaring success.
+  void expectEnd(const char* what) {
+    const std::string_view extra = nextToken();
+    HCP_CHECK_MSG(extra.empty(), what << ": trailing garbage '" << extra
+                                      << "' after document");
+  }
+
+  /// Bytes not yet consumed.
+  std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
+
+ private:
+  static bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+  void skipSpace() {
+    while (p_ != end_ && isSpace(*p_)) ++p_;
+  }
+
+  /// Next whitespace-delimited token; empty at the end of the text.
+  std::string_view nextToken() {
+    skipSpace();
+    const char* begin = p_;
+    while (p_ != end_ && !isSpace(*p_)) ++p_;
+    return {begin, static_cast<std::size_t>(p_ - begin)};
+  }
+
+  const char* p_;
+  const char* end_;
+};
 
 }  // namespace hcp::support::txt

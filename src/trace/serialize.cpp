@@ -20,27 +20,26 @@ void writeBackTrace(std::ostream& os, const BackTraceResult& traced) {
   }
 }
 
-BackTraceResult readBackTrace(std::istream& is) {
-  txt::expect(is, "trace");
+BackTraceResult readBackTrace(txt::Reader& in) {
+  in.expect("trace");
   BackTraceResult traced;
-  const auto numSamples = txt::read<std::size_t>(is, "trace sample count");
-  traced.cellsTraced = txt::read<std::size_t>(is, "trace cellsTraced");
-  traced.cellsWithoutOps =
-      txt::read<std::size_t>(is, "trace cellsWithoutOps");
+  const auto numSamples = in.readCount("trace sample count");
+  traced.cellsTraced = in.read<std::size_t>("trace cellsTraced");
+  traced.cellsWithoutOps = in.read<std::size_t>("trace cellsWithoutOps");
   traced.samples.reserve(numSamples);
   for (std::size_t i = 0; i < numSamples; ++i) {
     Sample s;
-    s.functionIndex = txt::read<std::uint32_t>(is, "sample functionIndex");
-    s.instance = txt::read<rtl::InstanceId>(is, "sample instance");
-    s.op = txt::read<ir::OpId>(is, "sample op");
-    s.originOp = txt::read<ir::OpId>(is, "sample originOp");
-    s.sourceLine = txt::read<std::int32_t>(is, "sample sourceLine");
-    s.vCongestion = txt::read<double>(is, "sample vCongestion");
-    s.hCongestion = txt::read<double>(is, "sample hCongestion");
-    s.avgCongestion = txt::read<double>(is, "sample avgCongestion");
-    s.centreRadius = txt::read<double>(is, "sample centreRadius");
-    s.numCells = txt::read<std::size_t>(is, "sample numCells");
-    s.marginal = txt::readBool(is, "sample marginal");
+    s.functionIndex = in.read<std::uint32_t>("sample functionIndex");
+    s.instance = in.read<rtl::InstanceId>("sample instance");
+    s.op = in.read<ir::OpId>("sample op");
+    s.originOp = in.read<ir::OpId>("sample originOp");
+    s.sourceLine = in.read<std::int32_t>("sample sourceLine");
+    s.vCongestion = in.read<double>("sample vCongestion");
+    s.hCongestion = in.read<double>("sample hCongestion");
+    s.avgCongestion = in.read<double>("sample avgCongestion");
+    s.centreRadius = in.read<double>("sample centreRadius");
+    s.numCells = in.read<std::size_t>("sample numCells");
+    s.marginal = in.readBool("sample marginal");
     traced.samples.push_back(s);
   }
   return traced;

@@ -14,6 +14,9 @@
 //      detected (flowcache_corrupt), logged, and fall back to recompute —
 //      never a crash, never stale data — and the recompute self-heals the
 //      entry.
+//      The reader sweep cuts a full spam_filter result at 256 prefixes
+//      (each must throw) and flips 256 seeded bytes (each must throw
+//      hcp::Error or parse, never crash).
 //   5. Failure matrix: injected store/load I/O failures (open, ENOSPC
 //      mid-write, rename) degrade to recompute with the flowcache_*_error
 //      counters bumped, never abort, never leave temp files, and stay
@@ -31,12 +34,14 @@
 
 #include "apps/digit_spam.hpp"
 #include "apps/face_detection.hpp"
+#include "apps/registry.hpp"
 #include "core/dataset_builder.hpp"
 #include "core/flow.hpp"
 #include "core/flow_serialize.hpp"
 #include "core/predictor.hpp"
 #include "support/failpoint.hpp"
 #include "support/flowcache.hpp"
+#include "support/rng.hpp"
 #include "support/telemetry.hpp"
 #include "test_util.hpp"
 
@@ -274,6 +279,22 @@ TEST_F(CacheBehaviorTest, ColdMissesWarmHitsByteIdentically) {
   EXPECT_EQ(counter(telemetry::Counter::HlsFunctionsSynthesized), 0u);
   // ...and returns the recomputed result byte for byte.
   EXPECT_EQ(serialize(cold), serialize(warm));
+}
+
+TEST_F(CacheBehaviorTest, WarmHitCountsExactlyItsPayloadBytesParsed) {
+  TempCacheDir scratch("flowcache_bytes_parsed/");
+  fc::ScopedCacheDir armed(scratch.dir());
+
+  (void)runFlow(smallDigit(), mainDevice(), {});
+  EXPECT_EQ(counter(telemetry::Counter::FlowBytesParsed), 0u);  // cold
+  const std::optional<std::string> payload = fc::global()->load(
+      flowCacheKey(smallDigit(), mainDevice(), {}));
+  ASSERT_TRUE(payload.has_value());
+
+  telemetry::reset();
+  (void)runFlow(smallDigit(), mainDevice(), {});
+  EXPECT_EQ(counter(telemetry::Counter::FlowCacheHit), 1u);
+  EXPECT_EQ(counter(telemetry::Counter::FlowBytesParsed), payload->size());
 }
 
 TEST_F(CacheBehaviorTest, InputChangesMissInsteadOfServingStaleData) {
@@ -514,6 +535,60 @@ TEST_F(CorruptionBattery, FlowResultReaderRejectsTrailingGarbage) {
   EXPECT_THROW(readFlowResult(truncated), hcp::Error);
 }
 
+/// Every prefix and single-byte corruption of a full-size spam_filter flow
+/// result, fed straight to the reader (no envelope digest in front of it).
+/// Each case parses from an exact-size heap copy, so an overread is a heap
+/// overflow under AddressSanitizer.
+class FlowResultReaderSweep : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    payload_ = new std::string(
+        serialize(runFlow(apps::makeDesign("spam_filter"), mainDevice(), {})));
+  }
+  static void TearDownTestSuite() {
+    delete payload_;
+    payload_ = nullptr;
+  }
+
+  static std::string* payload_;
+};
+
+std::string* FlowResultReaderSweep::payload_ = nullptr;
+
+TEST_F(FlowResultReaderSweep, EveryTruncationThrows) {
+  const std::string& text = *payload_;
+  ASSERT_NO_THROW(deserialize(text));
+  constexpr std::size_t kCuts = 256;
+  for (std::size_t i = 0; i < kCuts; ++i) {
+    const std::size_t cut = text.size() * i / kCuts;
+    SCOPED_TRACE(cut);
+    const std::vector<char> prefix(text.begin(), text.begin() + cut);
+    EXPECT_THROW(readFlowResult(std::string_view(prefix.data(), cut)),
+                 hcp::Error);
+  }
+}
+
+TEST_F(FlowResultReaderSweep, EverySingleByteFlipThrowsOrParses) {
+  const std::string& text = *payload_;
+  Rng rng(0x7465787469);
+  std::size_t threw = 0;
+  for (int i = 0; i < 256; ++i) {
+    std::vector<char> bytes(text.begin(), text.end());
+    const std::size_t pos = rng.uniformInt(bytes.size());
+    bytes[pos] = static_cast<char>(bytes[pos] ^ (1 + rng.uniformInt(255)));
+    SCOPED_TRACE(pos);
+    // Anything but hcp::Error escaping the reader fails the test.
+    try {
+      (void)readFlowResult(std::string_view(bytes.data(), bytes.size()));
+    } catch (const hcp::Error&) {
+      ++threw;
+    }
+  }
+  // Most flips break a token and throw; one that swaps a digit for another
+  // digit still parses (the cache's payload digest catches those).
+  EXPECT_GT(threw, 0u);
+}
+
 // --- 5. failure matrix: store/load I/O failures degrade to recompute --------
 //
 // The contract under test (DESIGN.md §14): the cache is an accelerator,
@@ -600,6 +675,20 @@ TEST_F(FailureMatrix, OpenFailureOnStoreDegradesToo) {
   EXPECT_TRUE(fs::is_empty(scratch.dir()));
   EXPECT_TRUE(cache.store("00deadbeef00cafe", "payload"));
   EXPECT_EQ(cache.load("00deadbeef00cafe"), "payload");
+}
+
+TEST_F(FailureMatrix, DirectoryAtEntryPathIsAnUnreadableEntry) {
+  // A directory opens as a stream whose end offset is huge; load() must
+  // not size a read from it.
+  TempCacheDir scratch("flowcache_dir_entry/");
+  const fc::FlowCache cache(scratch.dir());
+  const std::string key = "0123456789abcdef";
+  fs::create_directories(cache.entryPath(key));
+  std::optional<std::string> out;
+  EXPECT_NO_THROW(out = cache.load(key));
+  EXPECT_FALSE(out.has_value());
+  EXPECT_EQ(counter(telemetry::Counter::FlowCacheLoadError), 1u);
+  EXPECT_EQ(counter(telemetry::Counter::FlowCacheMiss), 0u);
 }
 
 TEST_F(FailureMatrix, InjectedLoadErrorRecomputesWithoutServingBytes) {
