@@ -34,7 +34,7 @@ double gbrtMae(const ml::Dataset& data,
   const auto train = used->subset(split.train);
   const auto test = used->subset(split.test);
   ml::Gbrt model{ml::GbrtConfig{}};
-  model.fit(train);
+  model.fit(ml::DatasetSource(train));
   return ml::meanAbsoluteError(test.targets(), model.predictAll(test));
 }
 

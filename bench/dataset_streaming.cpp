@@ -56,9 +56,9 @@ void runPhase(const std::string& phase, const std::string& dir) {
                                           ml::shards::Label::Vertical);
   ml::LassoRegression model;
   if (phase == "stream-lasso") {
-    model.fitStreaming(source);
+    model.fit(source);
   } else if (phase == "mem-lasso") {
-    model.fit(ml::materialize(source));
+    model.fit(ml::DatasetSource(ml::materialize(source)));
   } else {
     throw Error("unknown bench phase: " + phase);
   }
@@ -159,12 +159,12 @@ std::vector<CmpRow> byteIdentitySweep(const ml::shards::ShardSet& set) {
                          const std::function<std::unique_ptr<ml::Regressor>()>&
                              factory) {
     auto reference = factory();
-    reference->fit(ml::materialize(source));
+    reference->fit(ml::DatasetSource(ml::materialize(source)));
     const std::string want = modelBytes(*reference);
     for (const std::size_t threads : {1u, 2u, 4u}) {
       support::ScopedThreadLimit limit(threads);
       auto streamed = factory();
-      streamed->fitStreaming(source);
+      streamed->fit(source);
       rows.push_back({name, threads, modelBytes(*streamed) == want});
     }
   };

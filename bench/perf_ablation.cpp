@@ -161,7 +161,7 @@ void BM_TrainLasso(benchmark::State& state) {
   const auto& data = dataset();
   for (auto _ : state) {
     ml::LassoRegression model;
-    model.fit(data.vertical);
+    model.fit(ml::DatasetSource(data.vertical));
     benchmark::DoNotOptimize(model.nonZeroWeights());
   }
 }
@@ -174,7 +174,7 @@ void BM_TrainGbrt(benchmark::State& state) {
   cfg.maxDepth = static_cast<int>(state.range(1));
   for (auto _ : state) {
     ml::Gbrt model(cfg);
-    model.fit(data.vertical);
+    model.fit(ml::DatasetSource(data.vertical));
     benchmark::DoNotOptimize(model.trainLoss());
   }
 }
@@ -256,7 +256,7 @@ void runParallelReport(std::size_t threads) {
     ml::GbrtConfig cfg;
     cfg.numEstimators = 150;
     ml::Gbrt model(cfg);
-    model.fit(data.vertical);
+    model.fit(ml::DatasetSource(data.vertical));
     benchmark::DoNotOptimize(model.trainLoss());
   });
 
@@ -280,7 +280,7 @@ void runParallelReport(std::size_t threads) {
   // to the same bytes.
   const auto fitAndSerialize = [&] {
     ml::Gbrt model;
-    model.fit(data.vertical);
+    model.fit(ml::DatasetSource(data.vertical));
     std::ostringstream os;
     model.write(os);
     return os.str();

@@ -42,7 +42,7 @@ Scores evaluate(const ml::Dataset& data, const std::vector<Config>& grid,
   const auto search =
       ml::gridSearch<Config>(grid, factory, train, cvFolds(), bench::kSeed);
   auto model = factory(search.bestConfig);
-  model->fit(train);
+  model->fit(ml::DatasetSource(train));
   const auto pred = model->predictAll(test);
   return {ml::meanAbsoluteError(test.targets(), pred),
           ml::medianAbsoluteError(test.targets(), pred)};

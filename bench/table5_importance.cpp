@@ -24,7 +24,7 @@ std::vector<std::pair<double, Category>> categoryImportance(
   cfg.numEstimators = 400;
   cfg.featureFraction = 0.6;
   ml::Gbrt model(cfg);
-  model.fit(data);
+  model.fit(ml::DatasetSource(data));
   const auto perFeature = model.featureImportance();
   const auto& reg = FeatureRegistry::instance();
   const auto counts = reg.categoryCounts();
@@ -80,7 +80,7 @@ void runBench(hcp::bench::BenchSession&) {
   // Top individual features for the vertical model (diagnostic detail).
   {
     ml::Gbrt model{ml::GbrtConfig{}};
-    model.fit(data.vertical);
+    model.fit(ml::DatasetSource(data.vertical));
     const auto imp = model.featureImportance();
     std::vector<std::pair<double, std::size_t>> ranked;
     for (std::size_t f = 0; f < imp.size(); ++f) ranked.emplace_back(imp[f], f);

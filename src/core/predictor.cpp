@@ -42,9 +42,9 @@ void CongestionPredictor::train(const LabeledDataset& data) {
   vertical_ = makeModel();
   horizontal_ = makeModel();
   average_ = makeModel();
-  vertical_->fit(data.vertical);
-  horizontal_->fit(data.horizontal);
-  average_->fit(data.average);
+  vertical_->fit(ml::DatasetSource(data.vertical));
+  horizontal_->fit(ml::DatasetSource(data.horizontal));
+  average_->fit(ml::DatasetSource(data.average));
   trained_ = true;
 }
 
@@ -59,12 +59,12 @@ void CongestionPredictor::trainFromShards(const ml::shards::ShardSet& set,
   const auto fitOne = [&](ml::Regressor& model, ml::shards::Label label) {
     const ml::shards::ShardRowSource source(set, label);
     if (streaming) {
-      model.fitStreaming(source);
+      model.fit(source);
     } else {
-      // Cross-check path: materialize the whole set, then take the
-      // ordinary in-memory fit. Exists so tests and the bench can prove
-      // the streamed model is byte-identical to this one.
-      model.fit(ml::materialize(source));
+      // Cross-check path: materialize the whole set, then fit on the
+      // in-memory copy. Exists so tests and the bench can prove the
+      // streamed model is byte-identical to this one.
+      model.fit(ml::DatasetSource(ml::materialize(source)));
     }
   };
   fitOne(*vertical_, ml::shards::Label::Vertical);

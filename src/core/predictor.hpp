@@ -54,8 +54,8 @@ class CongestionPredictor {
   void train(const LabeledDataset& data);
 
   /// Trains the three regressors out-of-core from a shard set. With
-  /// `streaming` (the default) each model fits via its streaming path over
-  /// a ShardRowSource — byte-identical model to train() on the
+  /// `streaming` (the default) each model fits directly on a
+  /// ShardRowSource — byte-identical model to train() on the
   /// materialized dataset, with one shard resident at a time. With
   /// `streaming = false` the set is materialized first (a debugging /
   /// cross-check path). Fails loudly on an empty set.

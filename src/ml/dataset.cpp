@@ -12,17 +12,6 @@ Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   return out;
 }
 
-Dataset Dataset::subsetView(const std::vector<std::size_t>& indices) const {
-  if (!liveToken_) liveToken_ = std::make_shared<const char>('\0');
-  Dataset out(numFeatures_);
-  out.base_ = this;
-  out.baseLive_ = liveToken_;
-  out.index_ = indices;
-  out.targets_.reserve(indices.size());
-  for (std::size_t i : indices) out.targets_.push_back(target(i));
-  return out;
-}
-
 Split trainTestSplit(std::size_t n, double testFraction,
                      std::uint64_t seed) {
   HCP_CHECK(testFraction > 0.0 && testFraction < 1.0);
@@ -53,45 +42,6 @@ std::vector<Split> kFoldSplits(std::size_t n, std::size_t k,
     }
   }
   return folds;
-}
-
-void StandardScaler::fit(const Dataset& data) {
-  HCP_CHECK(data.size() > 0);
-  const std::size_t n = data.size();
-  const std::size_t d = data.numFeatures();
-  mean_.assign(d, 0.0);
-  std_.assign(d, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& r = data.row(i);
-    for (std::size_t j = 0; j < d; ++j) mean_[j] += r[j];
-  }
-  for (double& m : mean_) m /= static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& r = data.row(i);
-    for (std::size_t j = 0; j < d; ++j)
-      std_[j] += (r[j] - mean_[j]) * (r[j] - mean_[j]);
-  }
-  for (double& s : std_) {
-    s = std::sqrt(s / static_cast<double>(n));
-    if (s < 1e-12) s = 1.0;  // constant column
-  }
-}
-
-void StandardScaler::fit(const std::vector<std::vector<double>>& rows) {
-  HCP_CHECK(!rows.empty());
-  const std::size_t d = rows.front().size();
-  mean_.assign(d, 0.0);
-  std_.assign(d, 0.0);
-  for (const auto& r : rows)
-    for (std::size_t j = 0; j < d; ++j) mean_[j] += r[j];
-  for (double& m : mean_) m /= static_cast<double>(rows.size());
-  for (const auto& r : rows)
-    for (std::size_t j = 0; j < d; ++j)
-      std_[j] += (r[j] - mean_[j]) * (r[j] - mean_[j]);
-  for (double& s : std_) {
-    s = std::sqrt(s / static_cast<double>(rows.size()));
-    if (s < 1e-12) s = 1.0;  // constant column
-  }
 }
 
 void StandardScaler::fit(const RowSource& source) {

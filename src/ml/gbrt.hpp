@@ -27,14 +27,11 @@ class Gbrt : public Regressor {
  public:
   explicit Gbrt(GbrtConfig config = {}) : config_(config) {}
 
-  void fit(const Dataset& data) override;
-  /// Streaming fit: quantile edges come from the feature-block streamed
-  /// binner and the raw feature matrix is never materialized — only the
-  /// uint8 binned matrix (one byte per value, ~24x smaller than the three
-  /// resident double datasets of the in-memory build) plus the targets stay
-  /// in memory for the boosting stages. fit() routes through the same
-  /// implementation, so streamed and in-memory models are byte-identical.
-  void fitStreaming(const RowSource& source) override;
+  /// Quantile edges come from the feature-block streamed binner and the
+  /// raw feature matrix is never materialized — only the uint8 binned
+  /// matrix (one byte per value) plus the targets stay in memory for the
+  /// boosting stages.
+  void fit(const RowSource& source) override;
   /// predict() and predictBatch() evaluate the flat forest (see flat_) and
   /// reject a row whose size is not the trained feature count.
   double predict(const std::vector<double>& row) const override;
@@ -66,7 +63,6 @@ class Gbrt : public Regressor {
   void read(std::istream& is);
 
  private:
-  void fitFromSource(const RowSource& source);
   /// Rebuilds flat_/roots_ from trees_ (after a fit and after read()).
   void flatten();
   void checkRow(const std::vector<double>& row) const;

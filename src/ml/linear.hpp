@@ -20,12 +20,10 @@ class LassoRegression : public Regressor {
  public:
   explicit LassoRegression(LassoConfig config = {}) : config_(config) {}
 
-  void fit(const Dataset& data) override;
   /// Bounded-memory fit: one scaler pass pair plus one Gram-accumulation
   /// pass over the source; working state is O(d^2), independent of the
-  /// sample count. fit() routes through the same implementation, so the
-  /// streamed and in-memory models are byte-identical.
-  void fitStreaming(const RowSource& source) override;
+  /// sample count.
+  void fit(const RowSource& source) override;
   double predict(const std::vector<double>& row) const override;
   std::string name() const override { return "Linear"; }
 
@@ -39,8 +37,6 @@ class LassoRegression : public Regressor {
   void read(std::istream& is);
 
  private:
-  void fitFromSource(const RowSource& source);
-
   LassoConfig config_;
   StandardScaler scaler_;
   std::vector<double> weights_;

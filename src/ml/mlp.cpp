@@ -45,28 +45,30 @@ std::vector<double> MlpRegressor::forward(
   return cur;
 }
 
-void MlpRegressor::fit(const Dataset& data) {
-  HCP_CHECK(data.size() >= 8);
-  const std::size_t d = data.numFeatures();
-  scaler_.fit(data);
+void MlpRegressor::fit(const RowSource& source) {
+  const std::size_t n = source.size();
+  HCP_CHECK(n >= 8);
+  const std::size_t d = source.numFeatures();
+  scaler_.fit(source);
+
+  std::vector<std::vector<double>> X(n);
+  std::vector<double> Y(n);
+  source.forEach([&](std::size_t i, const std::vector<double>& row, double y) {
+    X[i] = scaler_.transform(row);
+    Y[i] = y;
+  });
 
   // Standardize the target too; gradients stay well-scaled.
   {
     double m = 0.0;
-    for (double y : data.targets()) m += y;
-    m /= static_cast<double>(data.size());
+    for (double y : Y) m += y;
+    m /= static_cast<double>(n);
     double v = 0.0;
-    for (double y : data.targets()) v += (y - m) * (y - m);
+    for (double y : Y) v += (y - m) * (y - m);
     yMean_ = m;
-    yStd_ = std::max(1e-9, std::sqrt(v / static_cast<double>(data.size())));
+    yStd_ = std::max(1e-9, std::sqrt(v / static_cast<double>(n)));
   }
-
-  std::vector<std::vector<double>> X(data.size());
-  std::vector<double> Y(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    X[i] = scaler_.transform(data.row(i));
-    Y[i] = (data.target(i) - yMean_) / yStd_;
-  }
+  for (double& y : Y) y = (y - yMean_) / yStd_;
 
   // Layer shapes: d -> hidden... -> 1, He initialization.
   Rng rng(config_.seed);
@@ -86,10 +88,10 @@ void MlpRegressor::fit(const Dataset& data) {
   }
 
   // Validation split for early stopping.
-  auto perm = rng.permutation(data.size());
+  auto perm = rng.permutation(n);
   const auto valSize = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.validationFraction *
-                                  static_cast<double>(data.size())));
+                                  static_cast<double>(n)));
   std::vector<std::size_t> valIdx(perm.begin(),
                                   perm.begin() +
                                       static_cast<std::ptrdiff_t>(valSize));

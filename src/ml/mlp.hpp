@@ -28,7 +28,10 @@ class MlpRegressor : public Regressor {
  public:
   explicit MlpRegressor(MlpConfig config = {}) : config_(std::move(config)) {}
 
-  void fit(const Dataset& data) override;
+  /// Reads the source once into a standardized resident copy (the
+  /// mini-batch epochs revisit rows in shuffled order), after the scaler's
+  /// two passes.
+  void fit(const RowSource& source) override;
   double predict(const std::vector<double>& row) const override;
   std::string name() const override { return "ANN"; }
 

@@ -17,16 +17,12 @@ class Regressor {
  public:
   virtual ~Regressor() = default;
 
-  /// Trains on the dataset (models standardize internally as needed).
-  virtual void fit(const Dataset& data) = 0;
-
-  /// Trains from a streaming RowSource. Lasso and GBRT override this with
-  /// bounded-memory paths whose trained state is byte-identical to fit()
-  /// on the materialized source (DESIGN.md §19); the default materializes
-  /// the source and delegates (models without a native streaming fit).
-  virtual void fitStreaming(const RowSource& source) {
-    fit(materialize(source));
-  }
+  /// Trains on the source's rows (models standardize internally as
+  /// needed). This is the only training entry point: an in-memory Dataset
+  /// trains through DatasetSource, a shard set through ShardRowSource, and
+  /// either gives the same model for the same rows in the same order
+  /// (DESIGN.md §19).
+  virtual void fit(const RowSource& source) = 0;
 
   virtual double predict(const std::vector<double>& row) const = 0;
 

@@ -1,12 +1,12 @@
 // Streaming sample access for out-of-core training.
 //
 // A RowSource is a multi-pass, read-only view of (features, target) samples
-// in one fixed canonical order. The streaming fit paths (Lasso's Gram
-// accumulation, GBRT's feature-block binning) consume *only* this interface,
-// and the in-memory Dataset is adapted through DatasetSource — so the
-// in-memory and the sharded on-disk paths run the exact same arithmetic in
-// the exact same order, and the trained models are byte-identical by
-// construction (see DESIGN.md §19, "streaming determinism contract").
+// in one fixed canonical order. Every model trains through
+// Regressor::fit(const RowSource&) and nothing else; the in-memory Dataset
+// is adapted through DatasetSource — so the in-memory and the sharded
+// on-disk paths run the exact same arithmetic in the exact same order, and
+// the trained models are byte-identical by construction (see DESIGN.md §19,
+// "streaming determinism contract").
 //
 // Contract a RowSource must honor:
 //   - size() and numFeatures() are stable across passes;
@@ -47,22 +47,33 @@ class RowSource {
   virtual void visitParallel(const RowFn& fn) const { forEach(fn); }
 };
 
-/// Adapts an in-memory Dataset (owning or subset view) to RowSource.
+/// Adapts an in-memory Dataset to RowSource: all of its rows, or only the
+/// rows `rows` lists, in list order (source row i is data.row(rows[i]); a
+/// k-fold train or test set is DatasetSource(data, fold.train)). The source
+/// reads through `data` and `rows`, which must outlive it.
 class DatasetSource final : public RowSource {
  public:
   explicit DatasetSource(const Dataset& data) : data_(&data) {}
+  DatasetSource(const Dataset& data, const std::vector<std::size_t>& rows)
+      : data_(&data), rows_(&rows) {}
+  DatasetSource(const Dataset&, std::vector<std::size_t>&&) = delete;
 
-  std::size_t size() const override { return data_->size(); }
+  std::size_t size() const override {
+    return rows_ ? rows_->size() : data_->size();
+  }
   std::size_t numFeatures() const override { return data_->numFeatures(); }
   void forEach(const RowFn& fn) const override;
   void visitParallel(const RowFn& fn) const override;
 
  private:
+  std::size_t at(std::size_t i) const { return rows_ ? (*rows_)[i] : i; }
+
   const Dataset* data_;
+  const std::vector<std::size_t>* rows_ = nullptr;
 };
 
-/// Copies a source into an owning Dataset (the fallback for models without
-/// a native streaming fit, e.g. the MLP).
+/// Copies a source into an owning Dataset (the in-memory reference that
+/// streamed fits are checked against).
 Dataset materialize(const RowSource& source);
 
 }  // namespace hcp::ml

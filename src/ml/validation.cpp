@@ -11,15 +11,23 @@ FoldScore evaluateFold(
     const std::function<std::unique_ptr<Regressor>()>& factory,
     const Dataset& data, const Split& fold) {
   support::telemetry::count(support::telemetry::Counter::CvFoldsEvaluated);
-  // Index views share the base feature matrix: k-fold CV no longer copies
-  // the rows k times. `data` and `fold` outlive this call by contract.
-  const Dataset train = data.subsetView(fold.train);
-  const Dataset test = data.subsetView(fold.test);
+  // The fold trains and scores through `data`'s own rows: no fold copies
+  // the feature matrix, and nothing here writes to `data`, so folds may run
+  // concurrently over one dataset.
   auto model = factory();
-  model->fit(train);
-  const auto predicted = model->predictAll(test);
-  const FoldScore score{meanAbsoluteError(test.targets(), predicted),
-                        medianAbsoluteError(test.targets(), predicted)};
+  model->fit(DatasetSource(data, fold.train));
+  std::vector<const std::vector<double>*> rows;
+  std::vector<double> targets;
+  rows.reserve(fold.test.size());
+  targets.reserve(fold.test.size());
+  for (const std::size_t i : fold.test) {
+    rows.push_back(&data.row(i));
+    targets.push_back(data.target(i));
+  }
+  std::vector<double> predicted(rows.size());
+  model->predictBatch(rows, predicted);
+  const FoldScore score{meanAbsoluteError(targets, predicted),
+                        medianAbsoluteError(targets, predicted)};
   support::telemetry::observe(support::telemetry::Histogram::CvFoldMae,
                               score.mae);
   support::telemetry::observe(support::telemetry::Histogram::CvFoldMedae,
@@ -93,7 +101,7 @@ CvResult crossValidateStreaming(
                           << " partition (" << set.totalSamples()
                           << " samples; use fewer folds)");
     auto model = factory();
-    model->fitStreaming(train);
+    model->fit(train);
     std::vector<double> targets(test.size(), 0.0);
     std::vector<double> predicted(test.size(), 0.0);
     test.visitParallel(

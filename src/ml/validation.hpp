@@ -42,8 +42,8 @@ struct FoldScore {
   double medae = 0.0;
 };
 
-/// Trains a factory-built model on the fold's train view and scores it on
-/// the test view. Views avoid copying the feature matrix per fold.
+/// Trains a factory-built model on DatasetSource(data, fold.train) and
+/// scores it on the fold's test rows; no rows are copied.
 FoldScore evaluateFold(
     const std::function<std::unique_ptr<Regressor>()>& factory,
     const Dataset& data, const Split& fold);
@@ -66,10 +66,9 @@ std::size_t foldOfSampleId(std::uint64_t id, std::uint64_t seed,
                            std::size_t k);
 
 /// Out-of-core k-fold CV over a shard set: fold membership comes from
-/// foldOfSampleId, each fold trains via the model's streaming fit on a
-/// filtered ShardRowSource, and only the test slice's predictions are ever
-/// resident. Folds run serially on purpose — peak memory stays that of a
-/// single streaming fit. Fails loudly when a fold's train or test
+/// foldOfSampleId, each fold trains on a filtered ShardRowSource, and only
+/// the test slice's predictions are ever resident. Folds run serially on
+/// purpose — peak memory stays that of a single fit. Fails loudly when a fold's train or test
 /// partition is empty. Deterministic at any thread count.
 CvResult crossValidateStreaming(
     const std::function<std::unique_ptr<Regressor>()>& factory,

@@ -8,6 +8,7 @@
 #include "ml/linear.hpp"
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace hcp::ml {
@@ -43,7 +44,7 @@ Dataset nonlinearData(std::size_t n, std::size_t d, std::uint64_t seed) {
 TEST(Lasso, RecoversLinearTarget) {
   const auto data = linearData(500, 6, 0.05, 1);
   LassoRegression model({.alpha = 0.01});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   const auto pred = model.predictAll(data);
   EXPECT_LT(meanAbsoluteError(data.targets(), pred), 0.15);
 }
@@ -52,8 +53,8 @@ TEST(Lasso, AlphaControlsSparsity) {
   const auto data = linearData(400, 20, 0.1, 2);
   LassoRegression loose({.alpha = 0.001});
   LassoRegression tight({.alpha = 0.8});
-  loose.fit(data);
-  tight.fit(data);
+  loose.fit(DatasetSource(data));
+  tight.fit(DatasetSource(data));
   EXPECT_LT(tight.nonZeroWeights(), loose.nonZeroWeights());
   // Strong regularization still keeps the two real predictors.
   EXPECT_GE(tight.nonZeroWeights(), 1u);
@@ -62,7 +63,7 @@ TEST(Lasso, AlphaControlsSparsity) {
 TEST(Lasso, ConvergesBeforeIterationCap) {
   const auto data = linearData(200, 4, 0.05, 3);
   LassoRegression model({.alpha = 0.05, .maxIterations = 400});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   EXPECT_LT(model.iterationsRun(), 400);
 }
 
@@ -76,7 +77,7 @@ TEST(Lasso, PredictBeforeFitThrows) {
 TEST(Mlp, LearnsNonlinearTarget) {
   const auto data = nonlinearData(1500, 8, 4);
   MlpRegressor model({.hiddenLayers = {32, 16}, .maxEpochs = 80});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   const auto pred = model.predictAll(data);
   // Std of the target is ~5; a linear model can't get below ~3 MAE.
   EXPECT_LT(meanAbsoluteError(data.targets(), pred), 1.5);
@@ -89,8 +90,8 @@ TEST(Mlp, BeatsLinearOnNonlinearData) {
   const auto test = data.subset(split.test);
   LassoRegression linear({.alpha = 0.01});
   MlpRegressor mlp({.hiddenLayers = {32, 16}, .maxEpochs = 80});
-  linear.fit(train);
-  mlp.fit(train);
+  linear.fit(DatasetSource(train));
+  mlp.fit(DatasetSource(train));
   const double maeLinear =
       meanAbsoluteError(test.targets(), linear.predictAll(test));
   const double maeMlp = meanAbsoluteError(test.targets(), mlp.predictAll(test));
@@ -100,7 +101,7 @@ TEST(Mlp, BeatsLinearOnNonlinearData) {
 TEST(Mlp, EarlyStoppingBoundsEpochs) {
   const auto data = linearData(300, 4, 0.01, 6);
   MlpRegressor model({.hiddenLayers = {16}, .maxEpochs = 200, .patience = 3});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   EXPECT_LE(model.epochsRun(), 200u);
   EXPECT_TRUE(std::isfinite(model.bestValidationLoss()));
 }
@@ -109,18 +110,18 @@ TEST(Mlp, DeterministicForSeed) {
   const auto data = linearData(200, 4, 0.1, 7);
   MlpRegressor a({.maxEpochs = 10, .seed = 5});
   MlpRegressor b({.maxEpochs = 10, .seed = 5});
-  a.fit(data);
-  b.fit(data);
+  a.fit(DatasetSource(data));
+  b.fit(DatasetSource(data));
   EXPECT_DOUBLE_EQ(a.predict(data.row(0)), b.predict(data.row(0)));
 }
 
 // --- trees -------------------------------------------------------------
 
 TEST(Binner, QuantileBinsMonotone) {
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 100; ++i) rows.push_back({static_cast<double>(i)});
+  Dataset data(1);
+  for (int i = 0; i < 100; ++i) data.add({static_cast<double>(i)}, 0.0);
   Binner binner;
-  binner.fit(rows, 16);
+  binner.fit(DatasetSource(data), 16);
   std::uint8_t prev = 0;
   for (int i = 0; i < 100; ++i) {
     const auto bin = binner.binOf(0, static_cast<double>(i));
@@ -131,10 +132,37 @@ TEST(Binner, QuantileBinsMonotone) {
 }
 
 TEST(Binner, ConstantFeatureSingleBin) {
-  std::vector<std::vector<double>> rows(50, std::vector<double>{3.0});
+  Dataset data(1);
+  for (int i = 0; i < 50; ++i) data.add({3.0}, 0.0);
   Binner binner;
-  binner.fit(rows, 16);
+  binner.fit(DatasetSource(data), 16);
   EXPECT_LE(binner.binOf(0, 3.0), 1);
+}
+
+TEST(Binner, ColumnBlocksMatchOneBlockFit) {
+  // A budget of two columns splits 7 features into 4 source passes; each
+  // feature's edges depend only on its own values, so they must equal the
+  // one-pass fit's at every thread count. threshold(f, b) for every bin
+  // spells out feature f's ascending edge list.
+  const auto data = nonlinearData(300, 7, 12);
+  const DatasetSource source(data);
+  const auto edgesOf = [&](const Binner& binner) {
+    std::vector<double> out;
+    for (std::size_t f = 0; f < data.numFeatures(); ++f)
+      for (int b = 0; b < 256; ++b)
+        out.push_back(binner.threshold(f, static_cast<std::uint8_t>(b)));
+    return out;
+  };
+  Binner whole;
+  whole.fit(source, 32);
+  const auto want = edgesOf(whole);
+  const std::size_t twoColumns = 2 * data.size() * sizeof(double);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    support::ScopedThreadLimit limit(threads);
+    Binner blocked;
+    blocked.fit(source, 32, twoColumns);
+    EXPECT_EQ(edgesOf(blocked), want) << threads << " threads";
+  }
 }
 
 TEST(RegressionTreeTest, FitsStepFunction) {
@@ -172,7 +200,7 @@ TEST(RegressionTreeTest, MinSamplesLeafRespected) {
 TEST(GbrtTest, LearnsNonlinearTarget) {
   const auto data = nonlinearData(1500, 8, 12);
   Gbrt model({.numEstimators = 200, .learningRate = 0.1});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   const auto pred = model.predictAll(data);
   EXPECT_LT(meanAbsoluteError(data.targets(), pred), 1.2);
 }
@@ -184,8 +212,8 @@ TEST(GbrtTest, BeatsLinearOnNonlinearData) {
   const auto test = data.subset(split.test);
   LassoRegression linear({.alpha = 0.01});
   Gbrt gbrt;
-  linear.fit(train);
-  gbrt.fit(train);
+  linear.fit(DatasetSource(train));
+  gbrt.fit(DatasetSource(train));
   EXPECT_LT(meanAbsoluteError(test.targets(), gbrt.predictAll(test)),
             meanAbsoluteError(test.targets(), linear.predictAll(test)) * 0.6);
 }
@@ -194,15 +222,15 @@ TEST(GbrtTest, MoreTreesFitBetter) {
   const auto data = nonlinearData(800, 6, 14);
   Gbrt few({.numEstimators = 10});
   Gbrt many({.numEstimators = 200});
-  few.fit(data);
-  many.fit(data);
+  few.fit(DatasetSource(data));
+  many.fit(DatasetSource(data));
   EXPECT_LT(many.trainLoss(), few.trainLoss());
 }
 
 TEST(GbrtTest, FeatureImportanceFindsRealPredictors) {
   const auto data = nonlinearData(1200, 10, 15);  // only x0,x1,x2 matter
   Gbrt model({.numEstimators = 150, .featureFraction = 1.0});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   const auto imp = model.featureImportance();
   ASSERT_EQ(imp.size(), 10u);
   double sum = 0.0;
@@ -221,8 +249,8 @@ TEST(GbrtTest, DeterministicForSeed) {
   const auto data = nonlinearData(400, 5, 16);
   Gbrt a({.numEstimators = 30, .seed = 8});
   Gbrt b({.numEstimators = 30, .seed = 8});
-  a.fit(data);
-  b.fit(data);
+  a.fit(DatasetSource(data));
+  b.fit(DatasetSource(data));
   EXPECT_DOUBLE_EQ(a.predict(data.row(1)), b.predict(data.row(1)));
 }
 
@@ -275,7 +303,7 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 TEST(GbrtFlat, PredictAndBatchEqualPerTreeReferenceBitForBit) {
   const auto data = nonlinearData(500, 6, 21);
   Gbrt model({.numEstimators = 60, .learningRate = 0.07});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   const auto rows = probeRows(model, data);
   ASSERT_GT(rows.size(), data.size() + 3 * 60);
 
@@ -316,7 +344,7 @@ TEST(GbrtFlat, SplitValueGoesLeftAndNanGoesRight) {
   for (int i = -20; i < 20; ++i) data.add({double(i)}, i < 0 ? -1.0 : 1.0);
   Gbrt model({.numEstimators = 1, .learningRate = 1.0, .maxDepth = 1,
               .minSamplesLeaf = 1, .subsample = 1.0, .featureFraction = 1.0});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   std::vector<FlatTreeNode> nodes;
   model.trees().front().appendFlat(nodes, 1.0);
   ASSERT_EQ(nodes.size(), 3u);
@@ -333,7 +361,7 @@ TEST(GbrtFlat, SplitValueGoesLeftAndNanGoesRight) {
 TEST(GbrtFlat, RejectsRowOfTheWrongSize) {
   const auto data = nonlinearData(200, 5, 22);
   Gbrt model({.numEstimators = 5});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   EXPECT_THROW(model.predict(std::vector<double>(4, 0.0)), hcp::Error);
   EXPECT_THROW(model.predict(std::vector<double>(6, 0.0)), hcp::Error);
   const std::vector<double> good(5, 0.0), bad(6, 0.0);
@@ -355,7 +383,7 @@ TEST_P(ModelSweep, FinitePredictions) {
       MlpConfig{.hiddenLayers = {8}, .maxEpochs = 5}));
   models.push_back(std::make_unique<Gbrt>(GbrtConfig{.numEstimators = 10}));
   for (auto& model : models) {
-    model->fit(data);
+    model->fit(DatasetSource(data));
     for (std::size_t i = 0; i < 10; ++i)
       EXPECT_TRUE(std::isfinite(model->predict(data.row(i))))
           << model->name();

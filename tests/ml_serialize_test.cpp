@@ -30,7 +30,7 @@ Dataset makeData(std::size_t n, std::uint64_t seed) {
 /// Round-trip property: saved+loaded models predict bit-identically.
 template <typename Model>
 void roundTrip(Model&& model, const Dataset& data) {
-  model.fit(data);
+  model.fit(DatasetSource(data));
   std::stringstream buffer;
   saveModel(model, buffer);
   const auto restored = loadModel(buffer);
@@ -61,7 +61,7 @@ TEST(Serialize, GbrtRoundTrip) {
 TEST(Serialize, GbrtImportanceSurvives) {
   const auto data = makeData(400, 4);
   Gbrt model({.numEstimators = 50});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   std::stringstream buffer;
   saveModel(model, buffer);
   const auto restored = loadModel(buffer);
@@ -80,7 +80,7 @@ TEST(Serialize, RejectsGarbage) {
 TEST(Serialize, RejectsTruncated) {
   const auto data = makeData(100, 5);
   Gbrt model({.numEstimators = 10});
-  model.fit(data);
+  model.fit(DatasetSource(data));
   std::stringstream buffer;
   saveModel(model, buffer);
   const std::string full = buffer.str();
@@ -91,7 +91,7 @@ TEST(Serialize, RejectsTruncated) {
 TEST(Serialize, FileRoundTrip) {
   const auto data = makeData(200, 6);
   LassoRegression model;
-  model.fit(data);
+  model.fit(DatasetSource(data));
   const std::string path = "serialize_test_model.tmp";
   saveModelToFile(model, path);
   const auto restored = loadModelFromFile(path);
@@ -112,7 +112,7 @@ std::string writeFile(const std::string& path, const std::string& content) {
 
 std::string savedModelText() {
   LassoRegression model;
-  model.fit(makeData(100, 7));
+  model.fit(DatasetSource(makeData(100, 7)));
   std::stringstream buffer;
   saveModel(model, buffer);
   return buffer.str();
@@ -196,7 +196,7 @@ struct SavedGbrt {
 
 SavedGbrt savedGbrt() {
   Gbrt model({.numEstimators = 8});
-  model.fit(makeData(300, 9));
+  model.fit(DatasetSource(makeData(300, 9)));
   std::stringstream buffer;
   saveModel(model, buffer);
   SavedGbrt saved;
@@ -282,7 +282,7 @@ class SaveFailure : public ::testing::Test {
 
 TEST_F(SaveFailure, InjectedWriteFailureThrowsIoErrorAndLeavesNoFile) {
   LassoRegression model;
-  model.fit(makeData(100, 8));
+  model.fit(DatasetSource(makeData(100, 8)));
   const std::string path = "serialize_test_savefail.tmp";
 
   support::failpoint::configure("model.write:1");
@@ -306,14 +306,14 @@ TEST_F(SaveFailure, InjectedWriteFailureThrowsIoErrorAndLeavesNoFile) {
 TEST_F(SaveFailure, FailedSaveKeepsThePreviousModelIntact) {
   const std::string path = "serialize_test_keepold.tmp";
   LassoRegression old;
-  old.fit(makeData(100, 9));
+  old.fit(DatasetSource(makeData(100, 9)));
   saveModelToFile(old, path);
   std::ifstream before(path, std::ios::binary);
   std::stringstream beforeBytes;
   beforeBytes << before.rdbuf();
 
   Gbrt replacement({.numEstimators = 10});
-  replacement.fit(makeData(100, 10));
+  replacement.fit(DatasetSource(makeData(100, 10)));
   support::failpoint::configure("model.rename:1");
   EXPECT_THROW(saveModelToFile(replacement, path), hcp::IoError);
 
@@ -329,7 +329,7 @@ TEST_F(SaveFailure, FailedSaveKeepsThePreviousModelIntact) {
 
 TEST_F(SaveFailure, UnwritableDestinationReportsPathAndErrno) {
   LassoRegression model;
-  model.fit(makeData(50, 11));
+  model.fit(DatasetSource(makeData(50, 11)));
   try {
     saveModelToFile(model, "/nonexistent-dir/model.hcp");
     FAIL() << "saving into a missing directory must throw";

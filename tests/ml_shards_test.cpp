@@ -386,13 +386,13 @@ TEST(StreamingFit, LassoByteIdenticalAcrossThreadCounts) {
   const ShardRowSource source(set, Label::Vertical);
 
   LassoRegression reference;
-  reference.fit(materialize(source));
+  reference.fit(DatasetSource(materialize(source)));
   const std::string want = modelBytes(reference);
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
     support::ScopedThreadLimit limit(threads);
     LassoRegression streamed;
-    streamed.fitStreaming(source);
+    streamed.fit(source);
     EXPECT_EQ(modelBytes(streamed), want) << threads << " threads";
   }
 }
@@ -405,13 +405,13 @@ TEST(StreamingFit, GbrtByteIdenticalAcrossThreadCounts) {
 
   const GbrtConfig config{.numEstimators = 12, .maxDepth = 3};
   Gbrt reference(config);
-  reference.fit(materialize(source));
+  reference.fit(DatasetSource(materialize(source)));
   const std::string want = modelBytes(reference);
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
     support::ScopedThreadLimit limit(threads);
     Gbrt streamed(config);
-    streamed.fitStreaming(source);
+    streamed.fit(source);
     EXPECT_EQ(modelBytes(streamed), want) << threads << " threads";
   }
 }

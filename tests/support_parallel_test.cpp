@@ -14,6 +14,7 @@
 
 #include "ml/gbrt.hpp"
 #include "ml/linear.hpp"
+#include "ml/mlp.hpp"
 #include "ml/validation.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -154,25 +155,43 @@ ml::Dataset syntheticData(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Determinism, SubsetViewMatchesDeepSubset) {
+  // An index DatasetSource reads the base's rows in list order (repeats
+  // included) and trains every family exactly as the deep subset does.
   const auto data = syntheticData(120, 17);
-  std::vector<std::size_t> idx{5, 3, 77, 0, 119, 42, 42, 8};
+  const std::vector<std::size_t> idx{5, 3, 77, 0, 119, 42, 42, 8};
   const auto deep = data.subset(idx);
-  const auto view = data.subsetView(idx);
+  const ml::DatasetSource view(data, idx);
   ASSERT_EQ(view.size(), deep.size());
   EXPECT_EQ(view.numFeatures(), deep.numFeatures());
-  EXPECT_TRUE(view.isView());
-  EXPECT_FALSE(deep.isView());
-  for (std::size_t i = 0; i < deep.size(); ++i) {
-    EXPECT_EQ(view.row(i), deep.row(i));
-    EXPECT_EQ(view.target(i), deep.target(i));
+  std::size_t visited = 0;
+  view.forEach([&](std::size_t i, const std::vector<double>& row, double y) {
+    EXPECT_EQ(i, visited++);
+    EXPECT_EQ(row, deep.row(i));
+    EXPECT_EQ(y, deep.target(i));
+  });
+  EXPECT_EQ(visited, deep.size());
+  {
+    ScopedThreadLimit limit(4);
+    std::vector<double> targets(view.size(), -1.0);
+    view.visitParallel([&](std::size_t i, const std::vector<double>& row,
+                           double y) {
+      EXPECT_EQ(row, deep.row(i));
+      targets[i] = y;
+    });
+    EXPECT_EQ(targets, deep.targets());
   }
-  // Models must train identically on either representation.
-  ml::LassoRegression a, b;
-  a.fit(deep);
-  b.fit(view);
-  const auto pa = a.predictAll(data);
-  const auto pb = b.predictAll(data);
-  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
+  const auto fitBoth = [&](ml::Regressor& a, ml::Regressor& b) {
+    a.fit(ml::DatasetSource(deep));
+    b.fit(view);
+    EXPECT_EQ(a.predictAll(data), b.predictAll(data)) << a.name();
+  };
+  ml::LassoRegression la, lb;
+  fitBoth(la, lb);
+  ml::MlpRegressor ma({.maxEpochs = 4}), mb({.maxEpochs = 4});
+  fitBoth(ma, mb);
+  ml::Gbrt ga({.numEstimators = 8, .minSamplesLeaf = 1}),
+      gb({.numEstimators = 8, .minSamplesLeaf = 1});
+  fitBoth(ga, gb);
 }
 
 TEST(Determinism, GbrtFitIsBitIdenticalAcrossThreadCounts) {
@@ -181,7 +200,7 @@ TEST(Determinism, GbrtFitIsBitIdenticalAcrossThreadCounts) {
     ml::GbrtConfig cfg;
     cfg.numEstimators = 40;
     ml::Gbrt model(cfg);
-    model.fit(data);
+    model.fit(ml::DatasetSource(data));
     std::ostringstream os;
     model.write(os);
     return os.str();
