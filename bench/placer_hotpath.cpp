@@ -8,9 +8,8 @@
 //     pre-incremental algorithm) vs CostUpdate::kIncremental (O(1)
 //     edge-count updates) — moves/sec, ns/move and the speedup. Both runs
 //     must produce bit-identical placements (checked here, hard failure).
-//   - router: default dirty-tile overflow sweep vs the full-grid reference
-//     scan — iterations/sec and the sweep speedup, again with identical
-//     results demanded.
+//   - router: best-of-N route time and iterations/sec on the incremental
+//     placement.
 //   - suite: wall clock of the whole pack+place+route suite pinned to one
 //     thread vs the configured --threads N limit (designs run concurrently
 //     on the deterministic pool).
@@ -85,7 +84,6 @@ struct DesignRow {
   double placerRefMs = 0.0;
   double placerIncMs = 0.0;
   double routerMs = 0.0;
-  double routerFullScanMs = 0.0;
   int routerIters = 0;
 
   double refMovesPerSec() const { return movesTried / (placerRefMs / 1e3); }
@@ -97,7 +95,6 @@ struct DesignRow {
   double routerItersPerSec() const {
     return routerIters / (routerMs / 1e3);
   }
-  double routerScanSpeedup() const { return routerFullScanMs / routerMs; }
 };
 
 void checkIdentical(const std::string& name, const fpga::Placement& a,
@@ -114,14 +111,6 @@ void checkIdentical(const std::string& name, const fpga::Placement& a,
                       a.tileOfCluster[c].y == b.tileOfCluster[c].y,
                   name << ": cluster " << c
                        << " placed differently by the two kernels");
-}
-
-void checkIdentical(const std::string& name, const fpga::RoutingResult& a,
-                    const fpga::RoutingResult& b) {
-  HCP_CHECK_MSG(a.totalWirelength == b.totalWirelength &&
-                    a.overflowTiles == b.overflowTiles &&
-                    a.iterationsRun == b.iterationsRun,
-                name << ": dirty-tile and full-grid router sweeps diverged");
 }
 
 int runBody(hcp::bench::BenchSession& session) {
@@ -173,30 +162,21 @@ int runBody(hcp::bench::BenchSession& session) {
     checkIdentical(f.name, refPlacement, incPlacement);
     row.movesTried = incPlacement.movesTried;
 
-    fpga::RouterConfig dirty;
-    fpga::RouterConfig fullScan;
-    fullScan.dirtyTileScan = false;
-    fpga::RoutingResult dirtyResult, fullResult;
-    std::tie(row.routerFullScanMs, row.routerMs) = bestMsInterleaved(
-        kReps,
-        [&] {
-          fullResult = fpga::route(f.packing, incPlacement, device, fullScan);
-        },
-        [&] {
-          dirtyResult = fpga::route(f.packing, incPlacement, device, dirty);
-        });
-    checkIdentical(f.name, dirtyResult, fullResult);
-    row.routerIters = dirtyResult.iterationsRun;
+    fpga::RoutingResult routing;
+    row.routerMs = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < kReps; ++i)
+      row.routerMs = std::min(row.routerMs, timeMs([&] {
+        routing = fpga::route(f.packing, incPlacement, device, {});
+      }));
+    row.routerIters = routing.iterationsRun;
 
     std::fprintf(stderr,
                  "[placer] %-16s %7llu moves  ref %8.1f ms  inc %8.1f ms  "
-                 "(%5.2fx, %.0f ns/move)  router %6.1f ms (%d iters, "
-                 "sweep %4.2fx)\n",
+                 "(%5.2fx, %.0f ns/move)  router %6.1f ms (%d iters)\n",
                  f.name.c_str(),
                  static_cast<unsigned long long>(row.movesTried),
                  row.placerRefMs, row.placerIncMs, row.placerSpeedup(),
-                 row.incNsPerMove(), row.routerMs, row.routerIters,
-                 row.routerScanSpeedup());
+                 row.incNsPerMove(), row.routerMs, row.routerIters);
     rows.push_back(row);
     placements.push_back(std::move(incPlacement));
   }
@@ -259,9 +239,7 @@ int runBody(hcp::bench::BenchSession& session) {
          << ", \"placer_speedup\": " << r.placerSpeedup()
          << ", \"router_ms\": " << r.routerMs
          << ", \"router_iters\": " << r.routerIters
-         << ", \"router_iters_per_sec\": " << r.routerItersPerSec()
-         << ", \"router_fullscan_ms\": " << r.routerFullScanMs
-         << ", \"router_sweep_speedup\": " << r.routerScanSpeedup() << "}"
+         << ", \"router_iters_per_sec\": " << r.routerItersPerSec() << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

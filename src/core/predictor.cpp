@@ -1,7 +1,6 @@
 #include "core/predictor.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 
 #include "ml/serialize.hpp"
@@ -180,33 +179,25 @@ void CongestionPredictor::save(const std::string& path) const {
 }
 
 CongestionPredictor CongestionPredictor::load(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  std::string magic, kind;
-  int version = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> magic >> version >> kind) &&
-                    magic == "hcp-predictor" && version == 1,
-                "not a predictor file: " << path);
-  PredictorOptions options;
-  if (kind == "Linear") options.kind = ModelKind::Linear;
-  else if (kind == "ANN") options.kind = ModelKind::Ann;
-  else if (kind == "GBRT") options.kind = ModelKind::Gbrt;
-  else HCP_CHECK_MSG(false, "unknown predictor kind " << kind);
-  CongestionPredictor predictor(options);
-  try {
-    predictor.vertical_ = ml::loadModel(is);
-    predictor.horizontal_ = ml::loadModel(is);
-    predictor.average_ = ml::loadModel(is);
-  } catch (const Error& e) {
-    // Name the file: the per-model readers only see a stream.
-    throw Error(std::string(e.what()) + " [predictor file: " + path + "]");
-  }
-  std::string extra;
-  HCP_CHECK_MSG(!(is >> extra),
-                "trailing garbage after the three models (first token '"
-                    << extra << "') in predictor file: " << path);
-  predictor.trained_ = true;
-  return predictor;
+  return support::txt::parseFile(
+      path, "predictor", [](support::txt::Reader& in) {
+        in.expect("hcp-predictor");
+        const int version = in.read<int>("predictor version");
+        HCP_CHECK_MSG(version == 1,
+                      "unsupported predictor version " << version);
+        const std::string kind = in.read<std::string>("predictor kind");
+        PredictorOptions options;
+        if (kind == "Linear") options.kind = ModelKind::Linear;
+        else if (kind == "ANN") options.kind = ModelKind::Ann;
+        else if (kind == "GBRT") options.kind = ModelKind::Gbrt;
+        else HCP_CHECK_MSG(false, "unknown predictor kind " << kind);
+        CongestionPredictor predictor(options);
+        predictor.vertical_ = ml::readModel(in);
+        predictor.horizontal_ = ml::readModel(in);
+        predictor.average_ = ml::readModel(in);
+        predictor.trained_ = true;
+        return predictor;
+      });
 }
 
 }  // namespace hcp::core

@@ -29,8 +29,7 @@ class Router {
         config_(config),
         map_(CongestionMap::forDevice(device)),
         vHistory_(device.numTiles(), 0.0),
-        hHistory_(device.numTiles(), 0.0),
-        tileDirty_(device.numTiles(), 0) {}
+        hHistory_(device.numTiles(), 0.0) {}
 
   RoutingResult run() {
     routes_.resize(packing_.nets.size());
@@ -51,57 +50,24 @@ class Router {
         routeNet(n, presentFactor);
       }
 
-      // Accumulate history on overflowed segments. Each tile's update is
-      // independent, so the dirty-tile sweep produces bit-identical history
-      // values and overflow counts to the pre-incremental full-grid scan
-      // (kept below as the reference mode, asserted equal by the tests).
+      // Accumulate history on overflowed segments.
       bool anyOverflow = false;
       std::uint64_t overflowTilesThisIter = 0;
-      const auto scanTile = [&](std::uint32_t x, std::uint32_t y) {
-        const std::size_t i = device_.index(x, y);
-        const double vOver = map_.vDemand(x, y) - map_.vCapAt(x, y);
-        const double hOver = map_.hDemand(x, y) - map_.hCapAt(x, y);
-        if (vOver > 0) {
-          vHistory_[i] += config_.historyGain * vOver / map_.vCapAt(x, y);
-          anyOverflow = true;
+      for (std::uint32_t y = 0; y < device_.height(); ++y) {
+        for (std::uint32_t x = 0; x < device_.width(); ++x) {
+          const std::size_t i = device_.index(x, y);
+          const double vOver = map_.vDemand(x, y) - map_.vCapAt(x, y);
+          const double hOver = map_.hDemand(x, y) - map_.hCapAt(x, y);
+          if (vOver > 0) {
+            vHistory_[i] += config_.historyGain * vOver / map_.vCapAt(x, y);
+            anyOverflow = true;
+          }
+          if (hOver > 0) {
+            hHistory_[i] += config_.historyGain * hOver / map_.hCapAt(x, y);
+            anyOverflow = true;
+          }
+          if (vOver > 0 || hOver > 0) ++overflowTilesThisIter;
         }
-        if (hOver > 0) {
-          hHistory_[i] += config_.historyGain * hOver / map_.hCapAt(x, y);
-          anyOverflow = true;
-        }
-        if (vOver > 0 || hOver > 0) ++overflowTilesThisIter;
-      };
-      // The dirty set is derived here, after routing, from the work set's
-      // final routes — not maintained step-by-step inside the A*/rip-up hot
-      // loops, which would tax every demand charge. It is exact: a tile can
-      // only end the iteration overflowed if it was already overflowed at
-      // the last sweep (then every net through it is in this work set, and
-      // any net still crossing it puts it on a scanned route; if all left,
-      // its demand is gone) or if a work-set net was just routed through it
-      // (then it is on that route). Either way the tile lies on a work-set
-      // net's current route. When the work set covers most nets (always
-      // iteration 0), walking their routes costs more than the grid scan it
-      // replaces, so fall back to the full sweep — same result, the
-      // scanned superset only adds zero-overflow no-ops.
-      bool fullScan = !config_.dirtyTileScan;
-      if (config_.dirtyTileScan) {
-        std::size_t steps = 0;
-        for (std::size_t n : work_) steps += routes_[n].size();
-        fullScan = steps >= device_.numTiles();
-      }
-      if (fullScan) {
-        if (config_.dirtyTileScan) dirtyScanned_ += device_.numTiles();
-        for (std::uint32_t y = 0; y < device_.height(); ++y)
-          for (std::uint32_t x = 0; x < device_.width(); ++x)
-            scanTile(x, y);
-      } else {
-        for (const std::uint32_t t : dirtyTiles_) tileDirty_[t] = 0;
-        dirtyTiles_.clear();
-        for (std::size_t n : work_)
-          for (const RouteStep& s : routes_[n]) markDirty(s.x, s.y);
-        dirtyScanned_ += dirtyTiles_.size();
-        for (const std::uint32_t t : dirtyTiles_)
-          scanTile(t % device_.width(), t / device_.width());
       }
       support::telemetry::observe(
           support::telemetry::Histogram::RouterOverflowTilesPerIter,
@@ -123,19 +89,10 @@ class Router {
     tm::count(tm::Counter::RouterIterations, static_cast<std::uint64_t>(iter));
     tm::count(tm::Counter::RouterRipUps, ripUps_);
     tm::count(tm::Counter::RouterOverflowTiles, result.overflowTiles);
-    tm::count(tm::Counter::RouterDirtyTiles, dirtyScanned_);
     return result;
   }
 
  private:
-  void markDirty(std::uint32_t x, std::uint32_t y) {
-    const auto i = static_cast<std::uint32_t>(device_.index(x, y));
-    if (!tileDirty_[i]) {
-      tileDirty_[i] = 1;
-      dirtyTiles_.push_back(i);
-    }
-  }
-
   bool routeOverflows(std::size_t n) const {
     for (const RouteStep& s : routes_[n]) {
       if (s.vertical) {
@@ -332,13 +289,6 @@ class Router {
   std::vector<std::uint64_t> stamp_;
   std::uint64_t epoch_ = 0;
   std::vector<std::pair<double, std::uint32_t>> heap_;
-
-  // Dirty-tile set: tiles on the work set's final routes, i.e. the only
-  // tiles the overflow/history sweep needs to visit (derived at sweep
-  // time — see run()).
-  std::vector<std::uint32_t> dirtyTiles_;
-  std::vector<std::uint8_t> tileDirty_;
-  std::uint64_t dirtyScanned_ = 0;
 };
 
 }  // namespace

@@ -15,12 +15,7 @@
 //
 // Hot-path structure: the per-sink A* state (dist/backtrace/open list) is
 // epoch-stamped and reused across sinks and nets instead of being
-// reallocated per sink, and the per-iteration overflow/history sweep visits
-// only the dirty tiles touched by that iteration's rip-up/reroute work
-// (every tile that can be overflowed is dirty by construction — see
-// DESIGN.md §15). Both are bit-identical to the straightforward forms; the
-// full-grid sweep is retained behind RouterConfig::dirtyTileScan=false for
-// the equivalence tests and bench/placer_hotpath.
+// reallocated per sink (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -36,11 +31,6 @@ struct RouterConfig {
   double historyGain = 0.35;  ///< history cost added per overflowed unit
   double presentFactorGrowth = 1.7;
   int bboxMargin = 7;         ///< A* window beyond the net bounding box
-  /// Overflow/history sweep per PathFinder iteration: dirty-tile set
-  /// (default) or the pre-incremental full-grid scan. Bit-identical
-  /// results either way (test-asserted); the flag exists for the
-  /// equivalence tests and the placer_hotpath bench.
-  bool dirtyTileScan = true;
 };
 
 /// Per-net routed tree, as a list of directed unit steps.

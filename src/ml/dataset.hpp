@@ -6,13 +6,16 @@
 #pragma once
 
 #include <cstddef>
-#include <istream>
-#include <ostream>
+#include <iosfwd>
 #include <utility>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
+
+namespace hcp::support::txt {
+class Reader;
+}  // namespace hcp::support::txt
 
 namespace hcp::ml {
 
@@ -89,7 +92,7 @@ class StandardScaler {
 
   /// Text serialization (used by ml/serialize).
   void write(std::ostream& os) const;
-  void read(std::istream& is);
+  void read(support::txt::Reader& in);
 
  private:
   std::vector<double> mean_;

@@ -60,7 +60,7 @@ class Gbrt : public Regressor {
 
   /// Text serialization (used by ml/serialize).
   void write(std::ostream& os) const;
-  void read(std::istream& is);
+  void read(support::txt::Reader& in);
 
  private:
   /// Rebuilds flat_/roots_ from trees_ (after a fit and after read()).

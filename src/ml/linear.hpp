@@ -34,7 +34,7 @@ class LassoRegression : public Regressor {
 
   /// Text serialization (used by ml/serialize).
   void write(std::ostream& os) const;
-  void read(std::istream& is);
+  void read(support::txt::Reader& in);
 
  private:
   LassoConfig config_;

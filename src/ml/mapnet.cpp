@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "support/error.hpp"
 #include "support/parallel.hpp"
-#include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "support/textio.hpp"
 
@@ -364,10 +362,6 @@ MapPrediction loadMapPrediction(std::string_view text) {
   return map;
 }
 
-MapPrediction loadMapPrediction(std::istream& is) {
-  return loadMapPrediction(readAll(is));
-}
-
 void saveMapPredictionToFile(const MapPrediction& map,
                              const std::string& path) {
   support::txt::CheckedFileWriter writer(path, "mapout");
@@ -376,13 +370,7 @@ void saveMapPredictionToFile(const MapPrediction& map,
 }
 
 MapPrediction loadMapPredictionFromFile(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  try {
-    return loadMapPrediction(is);
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [map file: " + path + "]");
-  }
+  return txt::parseFile(path, "map", MapPrediction::read);
 }
 
 // --- MapNet ----------------------------------------------------------------
@@ -836,8 +824,9 @@ void saveMapModel(const MapNet& model, std::ostream& os) {
   HCP_CHECK_MSG(os.good(), "map-model write failed");
 }
 
-MapNet loadMapModel(std::string_view text) {
-  txt::Reader in(text);
+namespace {
+
+MapNet readMapModel(txt::Reader& in) {
   in.expect("hcp-mapmodel");
   const std::string kind = in.read<std::string>("model kind");
   const int version = in.read<int>("model version");
@@ -846,11 +835,17 @@ MapNet loadMapModel(std::string_view text) {
   config.topology = topologyFromName(kind);
   MapNet model(config);
   model.read(in);
-  in.expectEnd("map model");
   return model;
 }
 
-MapNet loadMapModel(std::istream& is) { return loadMapModel(readAll(is)); }
+}  // namespace
+
+MapNet loadMapModel(std::string_view text) {
+  txt::Reader in(text);
+  MapNet model = readMapModel(in);
+  in.expectEnd("map model");
+  return model;
+}
 
 void saveMapModelToFile(const MapNet& model, const std::string& path) {
   support::txt::CheckedFileWriter writer(path, "mapmodel");
@@ -859,13 +854,7 @@ void saveMapModelToFile(const MapNet& model, const std::string& path) {
 }
 
 MapNet loadMapModelFromFile(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  try {
-    return loadMapModel(is);
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [map-model file: " + path + "]");
-  }
+  return txt::parseFile(path, "map-model", readMapModel);
 }
 
 }  // namespace hcp::ml

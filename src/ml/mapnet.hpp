@@ -29,7 +29,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <string_view>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -89,8 +88,6 @@ struct MapPrediction {
 void saveMapPrediction(const MapPrediction& map, std::ostream& os);
 /// Parses one map; `text` must hold nothing else.
 MapPrediction loadMapPrediction(std::string_view text);
-/// Reads the rest of `is` into memory and parses it as above.
-MapPrediction loadMapPrediction(std::istream& is);
 /// Atomic, verified write (failpoint site "mapout"). Throws hcp::IoError.
 void saveMapPredictionToFile(const MapPrediction& map,
                              const std::string& path);
@@ -165,8 +162,6 @@ class MapNet {
 void saveMapModel(const MapNet& model, std::ostream& os);
 /// Parses one model; `text` must hold nothing else.
 MapNet loadMapModel(std::string_view text);
-/// Reads the rest of `is` into memory and parses it as above.
-MapNet loadMapModel(std::istream& is);
 /// Atomic, verified write (failpoint site "mapmodel"). Throws hcp::IoError.
 void saveMapModelToFile(const MapNet& model, const std::string& path);
 /// Throws hcp::Error naming `path`; rejects trailing garbage.

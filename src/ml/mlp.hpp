@@ -40,7 +40,7 @@ class MlpRegressor : public Regressor {
 
   /// Text serialization (used by ml/serialize).
   void write(std::ostream& os) const;
-  void read(std::istream& is);
+  void read(support::txt::Reader& in);
 
  private:
   struct Layer {

@@ -1,7 +1,6 @@
 #include "ml/serialize.hpp"
 
-#include <fstream>
-#include <iomanip>
+#include <ostream>
 
 #include "ml/gbrt.hpp"
 #include "ml/linear.hpp"
@@ -11,34 +10,10 @@
 
 namespace hcp::ml {
 
-namespace detail {
-
-void writeVec(std::ostream& os, const std::vector<double>& v) {
-  os << v.size();
-  for (double x : v) os << ' ' << x;
-  os << '\n';
-}
-
-std::vector<double> readVec(std::istream& is) {
-  std::size_t n = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> n), "truncated model file");
-  std::vector<double> v(n);
-  for (double& x : v)
-    HCP_CHECK_MSG(static_cast<bool>(is >> x), "truncated model file");
-  return v;
-}
-
-void expect(std::istream& is, const char* token) {
-  std::string got;
-  HCP_CHECK_MSG(static_cast<bool>(is >> got) && got == token,
-                "model file: expected '" << token << "', got '" << got
-                                         << "'");
-}
-
-}  // namespace detail
+namespace txt = support::txt;
 
 void saveModel(const Regressor& model, std::ostream& os) {
-  os << std::setprecision(17);
+  txt::preparePrecision(os);
   if (const auto* lasso = dynamic_cast<const LassoRegression*>(&model)) {
     os << "hcp-model lasso 1\n";
     lasso->write(os);
@@ -54,30 +29,41 @@ void saveModel(const Regressor& model, std::ostream& os) {
   HCP_CHECK_MSG(os.good(), "model write failed");
 }
 
-std::unique_ptr<Regressor> loadModel(std::istream& is) {
-  detail::expect(is, "hcp-model");
-  std::string kind;
-  int version = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> kind >> version),
-                "truncated model header");
+namespace {
+
+template <typename Model>
+std::unique_ptr<Regressor> readAs(txt::Reader& in) {
+  auto model = std::make_unique<Model>();
+  model->read(in);
+  return model;
+}
+
+/// One `<n> v0 v1 ...` line.
+template <typename T>
+void writeVecLine(std::ostream& os, const std::vector<T>& v) {
+  txt::writeVec(os, v);
+  os << '\n';
+}
+
+}  // namespace
+
+std::unique_ptr<Regressor> readModel(txt::Reader& in) {
+  in.expect("hcp-model");
+  const std::string kind = in.read<std::string>("model kind");
+  const int version = in.read<int>("model version");
   HCP_CHECK_MSG(version == 1, "unsupported model version " << version);
-  if (kind == "lasso") {
-    auto model = std::make_unique<LassoRegression>();
-    model->read(is);
-    return model;
-  }
-  if (kind == "mlp") {
-    auto model = std::make_unique<MlpRegressor>();
-    model->read(is);
-    return model;
-  }
-  if (kind == "gbrt") {
-    auto model = std::make_unique<Gbrt>();
-    model->read(is);
-    return model;
-  }
+  if (kind == "lasso") return readAs<LassoRegression>(in);
+  if (kind == "mlp") return readAs<MlpRegressor>(in);
+  if (kind == "gbrt") return readAs<Gbrt>(in);
   HCP_CHECK_MSG(false, "unknown model kind '" << kind << "'");
   return nullptr;
+}
+
+std::unique_ptr<Regressor> loadModel(std::string_view text) {
+  txt::Reader in(text);
+  auto model = readModel(in);
+  in.expectEnd("model");
+  return model;
 }
 
 void saveModelToFile(const Regressor& model, const std::string& path) {
@@ -94,94 +80,71 @@ void saveModelToFile(const Regressor& model, const std::string& path) {
 }
 
 std::unique_ptr<Regressor> loadModelFromFile(const std::string& path) {
-  std::ifstream is(path);
-  HCP_CHECK_MSG(is.good(), "cannot open " << path);
-  std::unique_ptr<Regressor> model;
-  try {
-    model = loadModel(is);
-  } catch (const Error& e) {
-    // Re-throw with the offending file named: the stream-level readers have
-    // no idea where their bytes come from, but "which file is broken" is the
-    // question the user actually has.
-    throw Error(std::string(e.what()) + " [model file: " + path + "]");
-  }
   // A model file holds exactly one model: trailing bytes mean the file was
-  // concatenated, double-written or otherwise mangled — reject rather than
-  // silently ignore.
-  std::string extra;
-  HCP_CHECK_MSG(!(is >> extra),
-                "trailing garbage after model (first token '"
-                    << extra << "') in model file: " << path);
-  return model;
+  // concatenated, double-written or otherwise mangled.
+  return txt::parseFile(path, "model", readModel);
 }
-
-}  // namespace hcp::ml
 
 // --- member serialization definitions --------------------------------------
 // Kept in this TU so the line format lives in one place.
 
-namespace hcp::ml {
-
-using detail::expect;
-using detail::readVec;
-using detail::writeVec;
-
 void StandardScaler::write(std::ostream& os) const {
   os << "scaler\n";
-  writeVec(os, mean_);
-  writeVec(os, std_);
+  writeVecLine(os, mean_);
+  writeVecLine(os, std_);
 }
 
-void StandardScaler::read(std::istream& is) {
-  expect(is, "scaler");
-  mean_ = readVec(is);
-  std_ = readVec(is);
+void StandardScaler::read(txt::Reader& in) {
+  in.expect("scaler");
+  mean_ = in.readVec<double>("scaler means");
+  std_ = in.readVec<double>("scaler deviations");
 }
 
 void LassoRegression::write(std::ostream& os) const {
   os << "config " << config_.alpha << ' ' << config_.maxIterations << ' '
      << config_.tolerance << '\n';
   scaler_.write(os);
-  writeVec(os, weights_);
+  writeVecLine(os, weights_);
   os << "intercept " << intercept_ << '\n';
 }
 
-void LassoRegression::read(std::istream& is) {
-  expect(is, "config");
-  HCP_CHECK(static_cast<bool>(is >> config_.alpha >> config_.maxIterations >>
-                              config_.tolerance));
-  scaler_.read(is);
-  weights_ = readVec(is);
-  expect(is, "intercept");
-  HCP_CHECK(static_cast<bool>(is >> intercept_));
+void LassoRegression::read(txt::Reader& in) {
+  in.expect("config");
+  config_.alpha = in.read<double>("lasso alpha");
+  config_.maxIterations = in.read<int>("lasso max iterations");
+  config_.tolerance = in.read<double>("lasso tolerance");
+  scaler_.read(in);
+  weights_ = in.readVec<double>("lasso weights");
+  in.expect("intercept");
+  intercept_ = in.read<double>("lasso intercept");
 }
 
 void MlpRegressor::write(std::ostream& os) const {
   os << "layers " << layers_.size() << '\n';
   for (const Layer& l : layers_) {
     os << l.in << ' ' << l.out << '\n';
-    writeVec(os, l.w);
-    writeVec(os, l.b);
+    writeVecLine(os, l.w);
+    writeVecLine(os, l.b);
   }
   scaler_.write(os);
   os << "target " << yMean_ << ' ' << yStd_ << '\n';
 }
 
-void MlpRegressor::read(std::istream& is) {
-  expect(is, "layers");
-  std::size_t n = 0;
-  HCP_CHECK(static_cast<bool>(is >> n));
-  layers_.assign(n, Layer{});
+void MlpRegressor::read(txt::Reader& in) {
+  in.expect("layers");
+  layers_.assign(in.readCount("mlp layer count"), Layer{});
   for (Layer& l : layers_) {
-    HCP_CHECK(static_cast<bool>(is >> l.in >> l.out));
-    l.w = readVec(is);
-    l.b = readVec(is);
+    l.in = in.read<std::size_t>("mlp layer inputs");
+    l.out = in.read<std::size_t>("mlp layer outputs");
+    l.w = in.readVec<double>("mlp layer weights");
+    l.b = in.readVec<double>("mlp layer biases");
     HCP_CHECK_MSG(l.w.size() == l.in * l.out && l.b.size() == l.out,
                   "mlp layer shape mismatch");
   }
-  scaler_.read(is);
-  expect(is, "target");
-  HCP_CHECK(static_cast<bool>(is >> yMean_ >> yStd_));
+  scaler_.read(in);
+  in.expect("target");
+  yMean_ = in.read<double>("mlp target mean");
+  yStd_ = in.read<double>("mlp target deviation");
 }
 
 void RegressionTree::write(std::ostream& os) const {
@@ -190,24 +153,23 @@ void RegressionTree::write(std::ostream& os) const {
     os << n.feature << ' ' << static_cast<int>(n.bin) << ' ' << n.threshold
        << ' ' << n.left << ' ' << n.right << ' ' << n.value << '\n';
   }
-  os << "splits " << splitCounts_.size();
-  for (std::uint32_t c : splitCounts_) os << ' ' << c;
-  os << '\n';
-  writeVec(os, splitGains_);
+  os << "splits ";
+  writeVecLine(os, splitCounts_);
+  writeVecLine(os, splitGains_);
 }
 
-void RegressionTree::read(std::istream& is, std::size_t numFeatures) {
-  expect(is, "tree");
-  std::size_t n = 0;
-  HCP_CHECK(static_cast<bool>(is >> n));
+void RegressionTree::read(txt::Reader& in, std::size_t numFeatures) {
+  in.expect("tree");
+  const std::size_t n = in.readCount("tree node count");
   HCP_CHECK_MSG(n > 0, "model file: tree has no nodes");
   nodes_.assign(n, Node{});
   for (Node& node : nodes_) {
-    int bin = 0;
-    HCP_CHECK(static_cast<bool>(is >> node.feature >> bin >>
-                                node.threshold >> node.left >> node.right >>
-                                node.value));
-    node.bin = static_cast<std::uint8_t>(bin);
+    node.feature = in.read<std::int32_t>("tree node feature");
+    node.bin = in.read<std::uint8_t>("tree node bin");
+    node.threshold = in.read<double>("tree node threshold");
+    node.left = in.read<std::int32_t>("tree node left child");
+    node.right = in.read<std::int32_t>("tree node right child");
+    node.value = in.read<double>("tree node value");
   }
   // A corrupt link could make evaluation loop forever (a self or backward
   // edge) or read past the node array, and a corrupt feature past the row.
@@ -236,15 +198,13 @@ void RegressionTree::read(std::istream& is, std::size_t numFeatures) {
     HCP_CHECK_MSG(parents[i] == 1, "model file: tree node "
                                        << i << " has " << parents[i]
                                        << " parents, not 1");
-  expect(is, "splits");
-  std::size_t m = 0;
-  HCP_CHECK(static_cast<bool>(is >> m));
-  HCP_CHECK_MSG(m == numFeatures, "model file: tree split counts cover "
-                                      << m << " features, not "
-                                      << numFeatures);
-  splitCounts_.assign(m, 0);
-  for (std::uint32_t& c : splitCounts_) HCP_CHECK(static_cast<bool>(is >> c));
-  splitGains_ = readVec(is);
+  in.expect("splits");
+  splitCounts_ = in.readVec<std::uint32_t>("tree split counts");
+  HCP_CHECK_MSG(splitCounts_.size() == numFeatures,
+                "model file: tree split counts cover "
+                    << splitCounts_.size() << " features, not "
+                    << numFeatures);
+  splitGains_ = in.readVec<double>("tree split gains");
   HCP_CHECK_MSG(splitGains_.size() == numFeatures,
                 "model file: tree split gains cover "
                     << splitGains_.size() << " features, not "
@@ -262,19 +222,23 @@ void Gbrt::write(std::ostream& os) const {
   for (const RegressionTree& t : trees_) t.write(os);
 }
 
-void Gbrt::read(std::istream& is) {
-  expect(is, "config");
-  HCP_CHECK(static_cast<bool>(
-      is >> config_.numEstimators >> config_.learningRate >>
-      config_.maxDepth >> config_.minSamplesLeaf >> config_.subsample >>
-      config_.featureFraction >> config_.numBins >> config_.seed));
-  expect(is, "state");
-  HCP_CHECK(static_cast<bool>(is >> baseline_ >> numFeatures_ >> trainLoss_));
-  expect(is, "forest");
-  std::size_t n = 0;
-  HCP_CHECK(static_cast<bool>(is >> n));
-  trees_.assign(n, RegressionTree{});
-  for (RegressionTree& t : trees_) t.read(is, numFeatures_);
+void Gbrt::read(txt::Reader& in) {
+  in.expect("config");
+  config_.numEstimators = in.read<std::size_t>("gbrt estimators");
+  config_.learningRate = in.read<double>("gbrt learning rate");
+  config_.maxDepth = in.read<int>("gbrt max depth");
+  config_.minSamplesLeaf = in.read<std::size_t>("gbrt min samples per leaf");
+  config_.subsample = in.read<double>("gbrt subsample");
+  config_.featureFraction = in.read<double>("gbrt feature fraction");
+  config_.numBins = in.read<std::uint32_t>("gbrt bins");
+  config_.seed = in.read<std::uint64_t>("gbrt seed");
+  in.expect("state");
+  baseline_ = in.read<double>("gbrt baseline");
+  numFeatures_ = in.read<std::size_t>("gbrt feature count");
+  trainLoss_ = in.read<double>("gbrt train loss");
+  in.expect("forest");
+  trees_.assign(in.readCount("gbrt tree count"), RegressionTree{});
+  for (RegressionTree& t : trees_) t.read(in, numFeatures_);
   flatten();
 }
 

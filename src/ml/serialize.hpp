@@ -2,30 +2,32 @@
 // train once on implemented designs, then reuse across projects without
 // another place-and-route. Models serialize to a line-oriented text format
 // (architecture-independent, diff-friendly); loading restores bit-identical
-// predictions.
+// predictions. Like every artifact, a model parses through one
+// support::txt::Reader cursor, and a model file loads through
+// support::txt::parseFile (DESIGN.md §13).
 #pragma once
 
-#include <istream>
+#include <iosfwd>
 #include <memory>
-#include <ostream>
 #include <string>
+#include <string_view>
 
 #include "ml/model.hpp"
 
 namespace hcp::ml {
 
-class LassoRegression;
-class MlpRegressor;
-class Gbrt;
-
-/// Writes any supported regressor with a type tag.
+/// Writes any supported regressor as one `hcp-model <kind> 1` block.
 void saveModel(const Regressor& model, std::ostream& os);
 
-/// Reads a regressor previously written by saveModel. Throws hcp::Error on
-/// malformed input or unknown type tags.
-std::unique_ptr<Regressor> loadModel(std::istream& is);
+/// Reads one block written by saveModel and leaves the cursor after it (a
+/// predictor file holds three). Throws hcp::Error on malformed input or an
+/// unknown type tag.
+std::unique_ptr<Regressor> readModel(support::txt::Reader& in);
 
-/// File-path conveniences.
+/// Parses one model; `text` must hold nothing else.
+std::unique_ptr<Regressor> loadModel(std::string_view text);
+
+/// File-path conveniences. Load errors name `path`.
 void saveModelToFile(const Regressor& model, const std::string& path);
 std::unique_ptr<Regressor> loadModelFromFile(const std::string& path);
 

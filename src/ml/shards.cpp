@@ -15,6 +15,7 @@ namespace hcp::ml::shards {
 namespace {
 
 namespace fs = std::filesystem;
+namespace txt = support::txt;
 using support::flowcache::Fnv1a;
 
 constexpr const char* kMagic = "hcp-shard";
@@ -29,64 +30,50 @@ double targetOf(Label label, const ShardSample& s) {
   return 0.0;
 }
 
-/// Parses one header line (without the trailing newline). `what` names the
-/// file in every failure message.
-ShardInfo parseHeader(const std::string& line, const std::string& path) {
-  std::istringstream is(line);
-  std::string magic, key, hash;
-  std::uint32_t version = 0;
-  std::size_t numFeatures = 0, numSamples = 0, payloadBytes = 0;
-  HCP_CHECK_MSG(static_cast<bool>(is >> magic >> version >> key >>
-                                  numFeatures >> numSamples >> payloadBytes >>
-                                  hash) &&
-                    magic == kMagic,
-                "not a shard file (bad header): " << path);
-  HCP_CHECK_MSG(version == kSchemaVersion,
-                "shard schema version skew: " << path << " has version "
-                                              << version << ", expected "
-                                              << kSchemaVersion);
-  HCP_CHECK_MSG(key.size() == 16 &&
-                    key.find_first_not_of("0123456789abcdef") ==
-                        std::string::npos,
-                "shard header: malformed key '" << key << "' in " << path);
-  HCP_CHECK_MSG(hash.size() == 16 &&
-                    hash.find_first_not_of("0123456789abcdef") ==
-                        std::string::npos,
-                "shard header: malformed payload digest in " << path);
-  std::string extra;
-  HCP_CHECK_MSG(!(is >> extra),
-                "shard header: trailing garbage '" << extra << "' in "
-                                                   << path);
-  HCP_CHECK_MSG(fs::path(path).stem().string() == key,
-                "shard key mismatch: header says " << key << " but the file "
-                                                   << "is named " << path);
-  ShardInfo info;
-  info.key = key;
-  info.numFeatures = numFeatures;
-  info.numSamples = numSamples;
-  info.path = path;
-  return info;
-}
-
 struct HeaderEnvelope {
   ShardInfo info;
   std::size_t payloadBytes = 0;
   std::string payloadHash;
 };
 
-HeaderEnvelope readHeaderLine(std::istream& is, const std::string& path) {
-  std::string line;
-  HCP_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-                "not a shard file (empty or unreadable): " << path);
+bool isHex16(const std::string& s) {
+  return s.size() == 16 &&
+         s.find_first_not_of("0123456789abcdef") == std::string::npos;
+}
+
+/// Parses one header line (without the trailing newline). Every failure
+/// message names `path`.
+HeaderEnvelope parseHeader(std::string_view line, const std::string& path) {
+  txt::Reader in(line);
   HeaderEnvelope env;
-  env.info = parseHeader(line, path);
-  // Re-scan the two envelope fields parseHeader validated but dropped.
-  std::istringstream hs(line);
-  std::string magic, key;
   std::uint32_t version = 0;
-  std::size_t numFeatures = 0, numSamples = 0;
-  hs >> magic >> version >> key >> numFeatures >> numSamples >>
-      env.payloadBytes >> env.payloadHash;
+  try {
+    in.expect(kMagic);
+    version = in.read<std::uint32_t>("shard version");
+    env.info.key = in.read<std::string>("shard key");
+    env.info.numFeatures = in.read<std::size_t>("shard feature count");
+    env.info.numSamples = in.read<std::size_t>("shard sample count");
+    env.payloadBytes = in.read<std::size_t>("shard payload size");
+    env.payloadHash = in.read<std::string>("shard payload digest");
+  } catch (const Error& e) {
+    throw Error("not a shard file (bad header): " + path + " (" + e.what() +
+                ")");
+  }
+  HCP_CHECK_MSG(version == kSchemaVersion,
+                "shard schema version skew: " << path << " has version "
+                                              << version << ", expected "
+                                              << kSchemaVersion);
+  HCP_CHECK_MSG(isHex16(env.info.key), "shard header: malformed key '"
+                                           << env.info.key << "' in "
+                                           << path);
+  HCP_CHECK_MSG(isHex16(env.payloadHash),
+                "shard header: malformed payload digest in " << path);
+  HCP_CHECK_MSG(in.atEnd(), "shard header: trailing garbage in " << path);
+  HCP_CHECK_MSG(fs::path(path).stem().string() == env.info.key,
+                "shard key mismatch: header says " << env.info.key
+                                                   << " but the file is named "
+                                                   << path);
+  env.info.path = path;
   return env;
 }
 
@@ -163,56 +150,62 @@ std::string writeShard(const std::string& dir, const std::string& key,
 ShardData readShard(const std::string& path) {
   if (support::failpoint::shouldFail("shard.read"))
     throw Error("cannot read shard " + path + " (injected shard.read fault)");
-  std::ifstream is(path, std::ios::binary);
-  HCP_CHECK_MSG(is.good(), "cannot open shard " << path);
-  const HeaderEnvelope env = readHeaderLine(is, path);
+  ShardData data = txt::parseFile(path, "shard", [&](txt::Reader& file) {
+    const HeaderEnvelope env = parseHeader(file.readLine(), path);
+    // Length first, against the bytes actually present, so a corrupt size
+    // is never digested, allocated or parsed.
+    const std::size_t present = file.remaining();
+    HCP_CHECK_MSG(present >= env.payloadBytes,
+                  "truncated shard (payload wanted "
+                      << env.payloadBytes << " bytes, got " << present << ")");
+    HCP_CHECK_MSG(present == env.payloadBytes,
+                  "trailing garbage after shard payload");
+    const std::string_view payload = file.readRest();
+    const std::string digest = Fnv1a().bytes(payload).hex();
+    HCP_CHECK_MSG(digest == env.payloadHash,
+                  "shard payload digest mismatch (header "
+                      << env.payloadHash << ", computed " << digest << ")");
+    // Every sample is at least "sample <id> v h a" plus its features, two
+    // bytes a token, so counts past that are corrupt, not reservable.
+    const ShardInfo& info = env.info;
+    HCP_CHECK_MSG(info.numFeatures <= payload.size() / 2 &&
+                      info.numSamples <=
+                          payload.size() / (2 * (5 + info.numFeatures)),
+                  "shard header counts (" << info.numSamples << " samples of "
+                                          << info.numFeatures
+                                          << " features) exceed the "
+                                          << payload.size()
+                                          << "-byte payload");
 
-  std::string bytes(env.payloadBytes, '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(env.payloadBytes));
-  HCP_CHECK_MSG(static_cast<std::size_t>(is.gcount()) == env.payloadBytes,
-                "truncated shard (payload wanted " << env.payloadBytes
-                                                   << " bytes, got "
-                                                   << is.gcount() << "): "
-                                                   << path);
-  HCP_CHECK_MSG(is.get() == std::ifstream::traits_type::eof(),
-                "trailing garbage after shard payload: " << path);
-  const std::string digest = Fnv1a().bytes(bytes).hex();
-  HCP_CHECK_MSG(digest == env.payloadHash,
-                "shard payload digest mismatch (header "
-                    << env.payloadHash << ", computed " << digest
-                    << "): " << path);
-
-  ShardData data;
-  data.info = env.info;
-  support::txt::Reader in(bytes);
-  try {
+    ShardData data;
+    data.info = info;
+    txt::Reader in(payload);
     in.expect("design");
     data.meta.design = in.readStr("shard design");
     in.expect("device");
     data.meta.device = in.readStr("shard device");
     in.expect("seed");
     data.meta.seed = in.read<std::uint64_t>("shard seed");
-    data.samples.reserve(env.info.numSamples);
-    for (std::size_t i = 0; i < env.info.numSamples; ++i) {
+    data.samples.reserve(info.numSamples);
+    for (std::size_t i = 0; i < info.numSamples; ++i) {
       in.expect("sample");
       ShardSample s;
       s.id = in.read<std::uint64_t>("sample id");
-      HCP_CHECK_MSG(s.id == sampleId(env.info.key, i),
+      HCP_CHECK_MSG(s.id == sampleId(info.key, i),
                     "shard sample " << i << " has id " << s.id
                                     << ", expected canonical id "
-                                    << sampleId(env.info.key, i));
+                                    << sampleId(info.key, i));
       s.vertical = in.read<double>("sample labels");
       s.horizontal = in.read<double>("sample labels");
       s.average = in.read<double>("sample labels");
-      s.features.reserve(env.info.numFeatures);
-      for (std::size_t f = 0; f < env.info.numFeatures; ++f)
+      s.features.reserve(info.numFeatures);
+      for (std::size_t f = 0; f < info.numFeatures; ++f)
         s.features.push_back(in.read<double>("sample features"));
       data.samples.push_back(std::move(s));
     }
     in.expectEnd("shard payload");
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " [shard file: " + path + "]");
-  }
+    return data;
+  });
   support::telemetry::count(support::telemetry::Counter::ShardReads);
   return data;
 }
@@ -233,7 +226,9 @@ ShardSet::ShardSet(std::string dir) : dir_(std::move(dir)) {
   for (const std::string& path : paths) {
     std::ifstream is(path, std::ios::binary);
     HCP_CHECK_MSG(is.good(), "cannot open shard " << path);
-    const HeaderEnvelope env = readHeaderLine(is, path);
+    std::string line;
+    std::getline(is, line);
+    const HeaderEnvelope env = parseHeader(line, path);
     if (env.info.numSamples > 0) {
       if (numFeatures_ == 0) {
         numFeatures_ = env.info.numFeatures;

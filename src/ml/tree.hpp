@@ -96,7 +96,7 @@ class RegressionTree {
   /// is not one: a child index that does not point forward inside the tree,
   /// a node with no parent or two, or a split feature >= `numFeatures`.
   void write(std::ostream& os) const;
-  void read(std::istream& is, std::size_t numFeatures);
+  void read(support::txt::Reader& in, std::size_t numFeatures);
 
  private:
   struct Node {

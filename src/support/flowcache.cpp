@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "support/error.hpp"
 #include "support/failpoint.hpp"
@@ -132,18 +131,21 @@ std::optional<std::string> FlowCache::load(const std::string& key) const {
     corrupt(path, "missing envelope header line");
     return std::nullopt;
   }
-  std::istringstream header(raw->substr(0, nl));
-  std::string magic, storedKey, payloadHash;
+  txt::Reader header(std::string_view(*raw).substr(0, nl));
   std::uint32_t version = 0;
+  std::string storedKey, payloadHash;
   std::uint64_t payloadBytes = 0;
-  if (!(header >> magic >> version >> storedKey >> payloadBytes >>
-        payloadHash) ||
-      magic != "hcp-flowcache") {
+  try {
+    header.expect("hcp-flowcache");
+    version = header.read<std::uint32_t>("cache schema version");
+    storedKey = header.read<std::string>("cache key");
+    payloadBytes = header.read<std::uint64_t>("cache payload size");
+    payloadHash = header.read<std::string>("cache payload digest");
+  } catch (const hcp::Error&) {
     corrupt(path, "malformed envelope header");
     return std::nullopt;
   }
-  std::string trailing;
-  if (header >> trailing) {
+  if (!header.atEnd()) {
     corrupt(path, "trailing tokens in envelope header");
     return std::nullopt;
   }

@@ -30,7 +30,6 @@ const char* const kCounterNames[kNumCounters] = {
     "router_iterations",
     "router_ripups",
     "router_overflow_tiles",
-    "router_dirty_tiles",
     "sta_arrival_propagations",
     "trace_cells_traced",
     "dataset_samples_extracted",

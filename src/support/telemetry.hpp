@@ -62,7 +62,6 @@ enum class Counter : std::size_t {
   RouterIterations,
   RouterRipUps,
   RouterOverflowTiles,
-  RouterDirtyTiles,     ///< tiles scanned by the dirty-tile overflow sweep
   StaArrivalPropagations,
   TraceCellsTraced,
   DatasetSamplesExtracted,

@@ -1,8 +1,11 @@
-// Shared primitives of the line-oriented text serializers (ir/hls/rtl/fpga/
-// trace `serialize.hpp`, core/flow_serialize, the map model and dataset
-// shards). Writers print to a std::ostream; readers parse a whole document
-// held in memory through one txt::Reader cursor (DESIGN.md §13, "Text
-// codec"). The format goals are the ones the flow cache needs:
+// Shared primitives of the line-oriented text serializers: every artifact
+// the system writes and reads back (ir/hls/rtl/fpga/trace `serialize.hpp`,
+// core/flow_serialize, regression models and predictors, map models and
+// maps, dataset shards, the flow-cache envelope). Writers print to a
+// std::ostream; readers parse a whole document held in memory through one
+// txt::Reader cursor, and every artifact file loads through parseFile
+// (DESIGN.md §13, "Text codec"). The format goals are the ones the flow
+// cache needs:
 //
 //   - *exact* round trips: doubles are printed with 17 significant digits
 //     (writers call `preparePrecision` once per document), so
@@ -259,6 +262,29 @@ class Reader {
                                       << "' after document");
   }
 
+  /// True when nothing but whitespace remains.
+  bool atEnd() {
+    skipSpace();
+    return p_ == end_;
+  }
+
+  /// The raw bytes up to the next '\n' (or the end of the text); consumes
+  /// the '\n' too.
+  std::string_view readLine() {
+    const char* nl = p_;
+    while (nl != end_ && *nl != '\n') ++nl;
+    const std::string_view line(p_, static_cast<std::size_t>(nl - p_));
+    p_ = nl == end_ ? end_ : nl + 1;
+    return line;
+  }
+
+  /// All bytes not yet consumed, raw; leaves the cursor at the end.
+  std::string_view readRest() {
+    const std::string_view rest(p_, remaining());
+    p_ = end_;
+    return rest;
+  }
+
   /// Bytes not yet consumed.
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
 
@@ -280,5 +306,40 @@ class Reader {
   const char* p_;
   const char* end_;
 };
+
+/// The whole regular file at `path`, read with one read sized from the
+/// opened file. Throws hcp::Error "cannot open <path>" when it is missing,
+/// not a regular file or unreadable.
+inline std::string readFile(const std::string& path) {
+  std::error_code ec;
+  std::ifstream is;
+  if (std::filesystem::is_regular_file(path, ec))
+    is.open(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = is.is_open() ? std::streamoff(is.tellg()) : -1;
+  std::string text;
+  if (size >= 0 && is.seekg(0)) {
+    text.resize(static_cast<std::size_t>(size));
+    is.read(text.data(), size);
+  }
+  HCP_CHECK_MSG(size >= 0 && is.good(), "cannot open " << path);
+  return text;
+}
+
+/// The one artifact file loader: reads the whole file at `path`, parses it
+/// with `parse(Reader&)`, requires that nothing but whitespace follows and
+/// returns what `parse` returned. Any hcp::Error from the parse is rethrown
+/// with ` [<kind> file: <path>]` appended, so every message names the file.
+template <typename Parse>
+auto parseFile(const std::string& path, const char* kind, Parse&& parse) {
+  const std::string text = readFile(path);
+  Reader in(text);
+  try {
+    auto result = parse(in);
+    in.expectEnd(kind);
+    return result;
+  } catch (const Error& e) {
+    throw Error(std::string(e.what()) + " [" + kind + " file: " + path + "]");
+  }
+}
 
 }  // namespace hcp::support::txt

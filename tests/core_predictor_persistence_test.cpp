@@ -5,14 +5,20 @@
 // CongestionPredictor::load — never crash or silently misload.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/predictor.hpp"
 #include "ml/serialize.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 namespace hcp::core {
@@ -229,6 +235,136 @@ TEST(PredictorPersistenceFailures, UnknownModelTagThrows) {
     os << "hcp-model svm 1\n";
   }
   EXPECT_THROW(ml::loadModelFromFile(file.path()), hcp::Error);
+}
+
+// --- reader sweeps ----------------------------------------------------------
+//
+// Every evenly spaced prefix and seeded single-byte corruption of a saved
+// Lasso, MLP and GBRT model and of a three-model predictor file, as
+// FlowResultReaderSweep does for cached flow results: the reader throws
+// hcp::Error or parses, and nothing else (std::bad_alloc from a corrupt
+// count, an overread) escapes. Models parse from an exact-size heap copy,
+// so an overread is a heap overflow under AddressSanitizer.
+
+/// 302 features, like the paper's feature vector: each artifact is tens of
+/// kilobytes, so every one of the 256 cuts drops more than the final token
+/// (a cut inside the last number would still leave a valid document).
+LabeledDataset wideDataset() {
+  LabeledDataset data;
+  Rng rng(31);
+  for (std::size_t i = 0; i < 64; ++i) {
+    std::vector<double> row(302);
+    for (double& v : row) v = rng.uniformReal(-1, 1);
+    data.vertical.add(row, row[0] + 0.5 * row[1]);
+    data.horizontal.add(row, row[2] - row[3]);
+    data.average.add(row, row[4]);
+  }
+  return data;
+}
+
+class ModelReaderSweep : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kCases = 256;
+
+  static void SetUpTestSuite() {
+    texts_ = new std::map<std::string, std::string>;
+    const LabeledDataset data = wideDataset();
+    for (const ModelKind kind :
+         {ModelKind::Linear, ModelKind::Ann, ModelKind::Gbrt}) {
+      CongestionPredictor predictor(smallOptions(kind));
+      predictor.train(data);
+      std::ostringstream os;
+      ml::saveModel(predictor.verticalModel(), os);
+      (*texts_)[std::string(modelKindName(kind))] = os.str();
+      if (kind != ModelKind::Gbrt) continue;
+      TempFile file(scratchStem());
+      predictor.save(file.path());
+      (*texts_)["predictor"] = test::slurpFile(file.path());
+    }
+  }
+  static void TearDownTestSuite() {
+    delete texts_;
+    texts_ = nullptr;
+  }
+
+  /// Per-process, so parallel ctest runs of the suite never share a file.
+  static std::string scratchStem() {
+    return "model_reader_sweep_" + std::to_string(::getpid()) + ".hcp";
+  }
+
+  /// Parses `bytes` as `artifact`: a model from the bytes themselves, the
+  /// predictor from a file holding them.
+  static void parse(const std::string& artifact,
+                    const std::vector<char>& bytes) {
+    if (artifact != "predictor") {
+      (void)ml::loadModel(std::string_view(bytes.data(), bytes.size()));
+      return;
+    }
+    TempFile file(scratchStem(), std::string(bytes.begin(), bytes.end()));
+    (void)CongestionPredictor::load(file.path());
+  }
+
+  static void expectEveryTruncationThrows(const std::string& artifact) {
+    const std::string& text = texts_->at(artifact);
+    ASSERT_NO_THROW(parse(artifact, {text.begin(), text.end()}));
+    ASSERT_GT(text.size() / kCases, 32u) << "cuts must step past a token";
+    for (std::size_t i = 0; i < kCases; ++i) {
+      const std::size_t cut = text.size() * i / kCases;
+      SCOPED_TRACE(cut);
+      EXPECT_THROW(parse(artifact, {text.begin(), text.begin() + cut}),
+                   hcp::Error);
+    }
+  }
+
+  static void expectEveryFlipThrowsOrParses(const std::string& artifact) {
+    const std::string& text = texts_->at(artifact);
+    Rng rng(0x6d6f64656c);
+    std::size_t threw = 0;
+    for (std::size_t i = 0; i < kCases; ++i) {
+      std::vector<char> bytes(text.begin(), text.end());
+      const std::size_t pos = rng.uniformInt(bytes.size());
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1 + rng.uniformInt(255)));
+      SCOPED_TRACE(pos);
+      // Anything but hcp::Error escaping the reader fails the test.
+      try {
+        parse(artifact, bytes);
+      } catch (const hcp::Error&) {
+        ++threw;
+      }
+    }
+    // Most flips break a token and throw; a digit swapped for another digit
+    // still parses.
+    EXPECT_GT(threw, 0u);
+  }
+
+  static std::map<std::string, std::string>* texts_;
+};
+
+std::map<std::string, std::string>* ModelReaderSweep::texts_ = nullptr;
+
+TEST_F(ModelReaderSweep, LassoEveryTruncationThrows) {
+  expectEveryTruncationThrows("Linear");
+}
+TEST_F(ModelReaderSweep, MlpEveryTruncationThrows) {
+  expectEveryTruncationThrows("ANN");
+}
+TEST_F(ModelReaderSweep, GbrtEveryTruncationThrows) {
+  expectEveryTruncationThrows("GBRT");
+}
+TEST_F(ModelReaderSweep, PredictorEveryTruncationThrows) {
+  expectEveryTruncationThrows("predictor");
+}
+TEST_F(ModelReaderSweep, LassoEverySingleByteFlipThrowsOrParses) {
+  expectEveryFlipThrowsOrParses("Linear");
+}
+TEST_F(ModelReaderSweep, MlpEverySingleByteFlipThrowsOrParses) {
+  expectEveryFlipThrowsOrParses("ANN");
+}
+TEST_F(ModelReaderSweep, GbrtEverySingleByteFlipThrowsOrParses) {
+  expectEveryFlipThrowsOrParses("GBRT");
+}
+TEST_F(ModelReaderSweep, PredictorEverySingleByteFlipThrowsOrParses) {
+  expectEveryFlipThrowsOrParses("predictor");
 }
 
 }  // namespace

@@ -108,54 +108,6 @@ TEST(Router, DeterministicResults) {
   EXPECT_DOUBLE_EQ(r1.totalWirelength, r2.totalWirelength);
 }
 
-TEST(Router, DirtyTileSweepMatchesFullGridScan) {
-  // The dirty-tile overflow/history sweep must be byte-identical to the
-  // pre-incremental full-grid scan — same overflow counts, same history
-  // accumulation, hence the same rip-up set and bit-equal final routes.
-  // The fixture forces real congestion so negotiation actually iterates.
-  Fixture f;
-  hcp::Rng rng(23);
-  for (int i = 0; i < 30; ++i) {
-    const auto a = f.addClusterAt(5 + rng.uniformInt(60),
-                                  5 + rng.uniformInt(60));
-    const auto b = f.addClusterAt(5 + rng.uniformInt(60),
-                                  5 + rng.uniformInt(60));
-    f.addNet(a, {b}, 8);
-  }
-  for (int i = 0; i < 12; ++i) {  // congested corridor
-    const auto a = f.addClusterAt(20, 38 + (i % 3));
-    const auto b = f.addClusterAt(50, 38 + (i % 3));
-    f.addNet(a, {b}, 24);
-  }
-  const Device dev = Device::xc7z020like();
-  RouterConfig dirty;
-  dirty.maxIterations = 8;
-  RouterConfig full = dirty;
-  full.dirtyTileScan = false;
-  const auto rd = route(f.packing, f.placement, dev, dirty);
-  const auto rf = route(f.packing, f.placement, dev, full);
-  EXPECT_GT(rd.iterationsRun, 1) << "fixture failed to congest";
-  ASSERT_EQ(rd.iterationsRun, rf.iterationsRun);
-  EXPECT_EQ(rd.overflowTiles, rf.overflowTiles);
-  EXPECT_EQ(rd.totalWirelength, rf.totalWirelength);  // bit-equal, not near
-  ASSERT_EQ(rd.routes.size(), rf.routes.size());
-  for (std::size_t n = 0; n < rd.routes.size(); ++n) {
-    ASSERT_EQ(rd.routes[n].size(), rf.routes[n].size()) << "net " << n;
-    for (std::size_t s = 0; s < rd.routes[n].size(); ++s) {
-      EXPECT_EQ(rd.routes[n][s].x, rf.routes[n][s].x);
-      EXPECT_EQ(rd.routes[n][s].y, rf.routes[n][s].y);
-      EXPECT_EQ(rd.routes[n][s].vertical, rf.routes[n][s].vertical);
-    }
-  }
-  for (std::uint32_t y = 0; y < dev.height(); ++y)
-    for (std::uint32_t x = 0; x < dev.width(); ++x) {
-      ASSERT_EQ(rd.map.vDemand(x, y), rf.map.vDemand(x, y))
-          << "tile " << x << "," << y;
-      ASSERT_EQ(rd.map.hDemand(x, y), rf.map.hDemand(x, y))
-          << "tile " << x << "," << y;
-    }
-}
-
 TEST(Router, UtilizationAccountsCapacityBoost) {
   // Same demand on a boosted tile (next to a DSP column) yields lower
   // utilization than on a plain tile.

@@ -98,8 +98,7 @@ std::string mapBytes(const MapPrediction& map) {
 
 TEST(MapPredictionIo, RoundTripIsByteIdentical) {
   const std::string once = mapBytes(smallMap());
-  std::istringstream is(once);
-  const MapPrediction back = loadMapPrediction(is);
+  const MapPrediction back = loadMapPrediction(once);
   EXPECT_EQ(mapBytes(back), once);
   EXPECT_EQ(back.width, 3u);
   EXPECT_EQ(back.height, 2u);
@@ -118,8 +117,8 @@ TEST(MapPredictionIo, AsciiAndCsvRenderTheGrid) {
 }
 
 TEST(MapPredictionIo, TrailingGarbageIsRejected) {
-  std::istringstream is(mapBytes(smallMap()) + "leftover");
-  EXPECT_THROW(loadMapPrediction(is), hcp::Error);
+  EXPECT_THROW(loadMapPrediction(mapBytes(smallMap()) + "leftover"),
+               hcp::Error);
 }
 
 TEST(MapPredictionIo, FileErrorsNameThePath) {
@@ -225,8 +224,7 @@ TEST_P(MapNetTopologies, ModelRoundTripsByteIdentically) {
   MapNet model(smallConfig(GetParam()));
   model.fit(syntheticMaps(2, 8, 6, 5));
   const std::string once = modelBytes(model);
-  std::istringstream is(once);
-  const MapNet back = loadMapModel(is);
+  const MapNet back = loadMapModel(once);
   EXPECT_EQ(modelBytes(back), once);
   EXPECT_EQ(back.config().topology, GetParam());
   EXPECT_EQ(back.epochsRun(), model.epochsRun());

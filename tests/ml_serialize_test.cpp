@@ -12,6 +12,7 @@
 #include "ml/serialize.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 namespace hcp::ml {
 namespace {
@@ -33,7 +34,7 @@ void roundTrip(Model&& model, const Dataset& data) {
   model.fit(DatasetSource(data));
   std::stringstream buffer;
   saveModel(model, buffer);
-  const auto restored = loadModel(buffer);
+  const auto restored = loadModel(buffer.str());
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->name(), model.name());
   for (std::size_t i = 0; i < std::min<std::size_t>(50, data.size()); ++i)
@@ -64,7 +65,7 @@ TEST(Serialize, GbrtImportanceSurvives) {
   model.fit(DatasetSource(data));
   std::stringstream buffer;
   saveModel(model, buffer);
-  const auto restored = loadModel(buffer);
+  const auto restored = loadModel(buffer.str());
   const auto& restoredGbrt = dynamic_cast<const Gbrt&>(*restored);
   const auto a = model.featureImportance();
   const auto b = restoredGbrt.featureImportance();
@@ -73,8 +74,7 @@ TEST(Serialize, GbrtImportanceSurvives) {
 }
 
 TEST(Serialize, RejectsGarbage) {
-  std::stringstream buffer("not a model at all");
-  EXPECT_THROW(loadModel(buffer), hcp::Error);
+  EXPECT_THROW(loadModel("not a model at all"), hcp::Error);
 }
 
 TEST(Serialize, RejectsTruncated) {
@@ -84,8 +84,7 @@ TEST(Serialize, RejectsTruncated) {
   std::stringstream buffer;
   saveModel(model, buffer);
   const std::string full = buffer.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(loadModel(cut), hcp::Error);
+  EXPECT_THROW(loadModel(full.substr(0, full.size() / 2)), hcp::Error);
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -194,11 +193,16 @@ struct SavedGbrt {
   }
 };
 
-SavedGbrt savedGbrt() {
+std::string savedGbrtText() {
   Gbrt model({.numEstimators = 8});
   model.fit(DatasetSource(makeData(300, 9)));
   std::stringstream buffer;
   saveModel(model, buffer);
+  return buffer.str();
+}
+
+SavedGbrt savedGbrt() {
+  std::stringstream buffer(savedGbrtText());
   SavedGbrt saved;
   for (std::string line; std::getline(buffer, line);)
     saved.lines.push_back(line);
@@ -212,12 +216,11 @@ SavedGbrt savedGbrt() {
   return saved;
 }
 
-enum Field { kFeature = 0, kLeft = 3, kRight = 4 };
+enum Field { kFeature = 0, kBin = 1, kLeft = 3, kRight = 4 };
 
 void expectRejected(const std::string& text, const std::string& needle) {
-  std::stringstream is(text);
   try {
-    loadModel(is);
+    loadModel(text);
     FAIL() << "corrupt tree must not load";
   } catch (const hcp::Error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -230,8 +233,7 @@ TEST(Serialize, GbrtRewrittenValidTreeLoads) {
   // already holds (a root's left child is node 1) still loads.
   const SavedGbrt saved = savedGbrt();
   ASSERT_GT(saved.numNodes, 3u);
-  std::stringstream is(saved.with(0, kLeft, "1"));
-  EXPECT_NO_THROW(loadModel(is));
+  EXPECT_NO_THROW(loadModel(saved.with(0, kLeft, "1")));
 }
 
 TEST(Serialize, GbrtRejectsTreeSelfLoop) {
@@ -255,6 +257,56 @@ TEST(Serialize, GbrtRejectsTreeChildOutOfRange) {
 TEST(Serialize, GbrtRejectsTreeFeatureOutOfRange) {
   const SavedGbrt saved = savedGbrt();
   expectRejected(saved.with(0, kFeature, "99999"), "feature 99999 of 6");
+}
+
+TEST(Serialize, GbrtRejectsTreeBinOutOfRange) {
+  // A bin is one byte: 300 must not load as 300 mod 256.
+  const SavedGbrt saved = savedGbrt();
+  expectRejected(saved.with(0, kBin, "300"), "tree node bin");
+}
+
+// --- corrupt counts and out-of-range values --------------------------------
+//
+// Every count is bounded by the bytes left in the document and every value
+// is range-checked for its type, so a corrupt number fails as hcp::Error —
+// never as std::bad_alloc from a count-sized allocation, and never as a
+// value wrapped into range.
+
+/// Loads `text` from a file: it must fail as hcp::Error naming the file.
+void expectFileRejectedNamingPath(const std::string& text,
+                                  const std::string& path) {
+  writeFile(path, text);
+  try {
+    loadModelFromFile(path);
+    ADD_FAILURE() << "corrupt model file must not load";
+  } catch (const hcp::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("[model file: " + path + "]"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, HugeLassoWeightCountThrowsNamingTheFile) {
+  // Lines: header, config, scaler, means, deviations, weights, intercept.
+  const std::string text =
+      test::replaceToken(savedModelText(), 5, 0, "1000000000000000");
+  EXPECT_THROW(loadModel(text), hcp::Error);
+  expectFileRejectedNamingPath(text, "serialize_test_huge_weights.tmp");
+}
+
+TEST(Serialize, HugeGbrtForestCountThrowsNamingTheFile) {
+  // Lines: header, config, state, "forest <n>", trees.
+  const std::string text =
+      test::replaceToken(savedGbrtText(), 3, 1, "100000000000000");
+  EXPECT_THROW(loadModel(text), hcp::Error);
+  expectFileRejectedNamingPath(text, "serialize_test_huge_forest.tmp");
+}
+
+TEST(Serialize, GbrtRejectsNegativeEstimatorCount) {
+  // The estimator count is unsigned: -1 must not wrap to 2^64 - 1.
+  expectRejected(test::replaceToken(savedGbrtText(), 1, 1, "-1"),
+                 "gbrt estimators");
 }
 
 // --- save failure paths -----------------------------------------------------

@@ -172,6 +172,40 @@ TEST_F(ShardCorruption, VersionSkewRejected) {
   }
 }
 
+TEST_F(ShardCorruption, HugePayloadSizeRejectedNamingTheFile) {
+  // The size is checked against the bytes present before anything is
+  // allocated for it, so 10^14 fails as hcp::Error, not std::bad_alloc.
+  const std::string path = freshShard("hugepayload");
+  // Header tokens: magic, version, key, features, samples, payload size,
+  // digest.
+  test::writeRaw(path, test::replaceToken(test::slurpFile(path), 0, 5,
+                                          "100000000000000"));
+  try {
+    readShard(path);
+    FAIL() << "huge payload size not detected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("truncated shard"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+}
+
+TEST_F(ShardCorruption, HugeSampleCountRejectedNamingTheFile) {
+  // The header is outside the payload digest; a sample count the payload
+  // cannot hold must fail before it sizes a reservation.
+  const std::string path = freshShard("hugesamples");
+  test::writeRaw(path, test::replaceToken(test::slurpFile(path), 0, 4,
+                                          "100000000000000"));
+  try {
+    readShard(path);
+    FAIL() << "huge sample count not detected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("exceed"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+}
+
 TEST_F(ShardCorruption, RenamedFileRejected) {
   const std::string path = freshShard("rename");
   const std::string other =

@@ -79,4 +79,15 @@ inline void writeRaw(const std::string& path, const std::string& bytes) {
   os << bytes;
 }
 
+/// `text` with the ' '-separated token `index` of line `line` (both 0-based)
+/// replaced by `token` (corruption-test primitive).
+inline std::string replaceToken(const std::string& text, std::size_t line,
+                                std::size_t index, const std::string& token) {
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < line; ++i) begin = text.find('\n', begin) + 1;
+  for (std::size_t i = 0; i < index; ++i) begin = text.find(' ', begin) + 1;
+  const std::size_t end = text.find_first_of(" \n", begin);
+  return text.substr(0, begin) + token + text.substr(end);
+}
+
 }  // namespace hcp::test
